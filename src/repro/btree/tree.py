@@ -12,9 +12,10 @@ Latch protocol implemented by :meth:`traverse` (§2.1 / Figure 4):
 - leaf latched X for insert/delete, S for fetch;
 - at most two page latches held at any moment;
 - the tree latch is *not* acquired during traversals, except instantly
-  (in S mode) to wait out an unfinished SMO when a nonleaf page is
-  ambiguous — nonempty-child test fails or the input key exceeds the
-  page's highest key while its SM_Bit is '1'.
+  (in S mode) to wait out an unfinished SMO when a page is ambiguous —
+  a nonleaf fails the nonempty-child test, or the input key exceeds
+  the page's highest key while its SM_Bit is '1' (at a leaf, checked
+  for readers only).
 
 Where the paper "unwinds recursion as far as necessary based on noted
 page LSNs", this implementation restarts from the root: same
@@ -334,6 +335,24 @@ class BTree:
                 node = child
                 stats.incr("btree.pages_visited")
             if restart:
+                continue
+            if (
+                not for_update
+                and node.sm_bit
+                and ctx.config.enable_sm_bit
+                and (not node.keys or key > node.keys[-1])
+                and not self.smo_barrier_try(txn)
+            ):
+                # Figure 4's ambiguity test at the leaf, for readers
+                # (updaters check the leaf's SM_Bit themselves): the key
+                # is past this leaf while its split is unfinished, so it
+                # may sit inside the new right page that the parent
+                # does not list yet.  Wait the SMO out and start over.
+                if parent is not None:
+                    self.unlatch_unfix(parent)
+                self.unlatch_unfix(node)
+                self.smo_barrier_wait(txn)
+                stats.incr("btree.traversal_restarts")
                 continue
             return Descent(leaf=node, parent=parent)
 

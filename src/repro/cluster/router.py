@@ -1,8 +1,9 @@
 """Wire-protocol front-end for the cluster.
 
 The :class:`ShardRouter` listens like a
-:class:`~repro.server.server.DatabaseServer` and speaks the same
-length-prefixed JSON protocol, so an **unmodified**
+:class:`~repro.server.server.DatabaseServer` (through the same
+:class:`~repro.server.listener.Listener`) and speaks the same binary
+wire protocol, so an **unmodified**
 :class:`~repro.server.client.DatabaseClient` talks to the whole
 cluster through one address.  Each router session owns a
 :class:`~repro.cluster.client.ClusterClient` (one back-end session per
@@ -25,22 +26,12 @@ concurrency — the router adds routing, not admission control.
 from __future__ import annotations
 
 import itertools
-import socket
-import threading
 from typing import TYPE_CHECKING, Callable
 
-from repro.common.errors import (
-    ProtocolError,
-    ServerShutdownError,
-    SessionStateError,
-)
+from repro.common.errors import ProtocolError, SessionStateError
 from repro.server.client import DatabaseClient
-from repro.server.protocol import (
-    FrameConn,
-    SocketTransport,
-    error_response,
-    loopback_pair,
-)
+from repro.server.listener import Listener
+from repro.server.protocol import FrameConn, error_response
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.client import ClusterClient
@@ -150,7 +141,7 @@ class RouterSession:
         except Exception:  # noqa: BLE001,RPR005 - socket already dead; session loop exits
             pass
         self.conn.close()
-        self.router.forget_session(self)
+        self.router.listener.forget(self)
 
     # -- ops -----------------------------------------------------------------
 
@@ -248,13 +239,9 @@ class ShardRouter:
         self.host = host
         self.port = port
         self.txn_ids = itertools.count(1)
-        self._sessions: set[RouterSession] = set()
-        self._sessions_lock = threading.Lock()
-        self._session_ids = itertools.count(1)
-        self._listener: socket.socket | None = None
-        self._address: tuple[str, int] | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._stopping = False
+        self.listener = Listener(
+            "router", lambda conn, sid: RouterSession(self, conn, sid)
+        )
         self._started = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -263,78 +250,22 @@ class ShardRouter:
         if self._started:
             return self
         self._started = True
-        if listen:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.host, self.port))
-            listener.listen(128)
-            self._listener = listener
-            self._address = listener.getsockname()
-            self._accept_thread = threading.Thread(
-                target=self._accept_loop, name="router-accept", daemon=True
-            )
-            self._accept_thread.start()
+        self.listener.open((self.host, self.port) if listen else None)
         return self
 
     @property
     def address(self) -> tuple[str, int]:
-        if self._address is None:
-            raise ServerShutdownError("router is not listening")
-        return self._address
+        return self.listener.address
 
-    def connect(
-        self, timeout: float | None = 30.0, protocol: str | None = None
-    ) -> DatabaseClient:
-        host, port = self.address
-        return DatabaseClient.connect(host, port, timeout=timeout, protocol=protocol)
+    def connect(self, timeout: float | None = 30.0) -> DatabaseClient:
+        return self.listener.connect(timeout)
 
-    def connect_loopback(self, protocol: str | None = None) -> DatabaseClient:
-        if self._stopping or not self._started:
-            raise ServerShutdownError("router is not accepting sessions")
-        server_end, client_end = loopback_pair()
-        self._spawn_session(server_end)
-        return DatabaseClient(FrameConn(client_end), protocol=protocol)
-
-    def _spawn_session(self, transport: SocketTransport) -> RouterSession:
-        session = RouterSession(
-            self, FrameConn(transport), next(self._session_ids)
-        )
-        with self._sessions_lock:
-            self._sessions.add(session)
-        thread = threading.Thread(
-            target=session.serve,
-            name=f"router-session-{session.session_id}",
-            daemon=True,
-        )
-        thread.start()
-        return session
-
-    def forget_session(self, session: RouterSession) -> None:
-        with self._sessions_lock:
-            self._sessions.discard(session)
-
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stopping:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed by shutdown
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._spawn_session(SocketTransport(sock))
+    def connect_loopback(self) -> DatabaseClient:
+        return self.listener.connect_loopback()
 
     def shutdown(self) -> None:
-        if self._stopping:
-            return
-        self._stopping = True
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._sessions_lock:
-            sessions = list(self._sessions)
-        for session in sessions:
+        self.listener.close()
+        for session in self.listener.sessions():
             try:
                 session.conn.close()
             except Exception:  # noqa: BLE001,RPR005 - best-effort teardown of a dying router

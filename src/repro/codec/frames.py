@@ -16,12 +16,10 @@ Responses echo the correlation id of their request, which is what makes
 client-side pipelining possible: many requests go out before the first
 response is read, and each response finds its waiter by id.
 
-Version negotiation: a v2 client opens the connection with the 4-byte
-:data:`MAGIC` preamble followed by a ``hello`` frame.  Read as a v1
-length header, the preamble's u32 value exceeds ``MAX_FRAME_BYTES`` —
-no legal v1 client can produce it — so a server can sniff the first 4
-bytes and speak v1 JSON or v2 binary per connection without breaking
-old clients.
+Handshake: a client opens the connection with the 4-byte
+:data:`MAGIC` preamble followed by a ``hello`` frame naming the
+versions it speaks; the server answers with a ``hello`` response.  A
+connection that opens with anything else is rejected.
 
 Every malformed input raises
 :class:`~repro.common.errors.ProtocolError` — bad version byte,
@@ -38,18 +36,12 @@ from repro.common.errors import ProtocolError, WALError
 from repro.codec.values import decode_value, encode_value
 
 MAX_FRAME_BYTES = 4 << 20
-"""Largest body either protocol version accepts."""
+"""Largest frame body accepted."""
 
-PROTOCOL_V1 = 1
 PROTOCOL_V2 = 2
 
 MAGIC = b"RPC2"
-"""Connection preamble announcing protocol v2.  As a big-endian u32
-(0x52504332) it is far beyond ``MAX_FRAME_BYTES``, so a v1 reader that
-receives it as a length header rejects the frame instead of waiting
-for gigabytes that never come."""
-
-assert int.from_bytes(MAGIC, "big") > MAX_FRAME_BYTES
+"""Connection preamble announcing protocol v2."""
 
 HEADER = struct.Struct(">IBBHI")
 """``(body_len, version, flags, opcode, corr_id)``."""

@@ -13,8 +13,8 @@ frames:
 The format is a one-byte type tag followed by a fixed or
 length-prefixed body.  It is deterministic, which lets tests compare
 serialized page images directly, and it is byte-identical to the codec
-that used to live in ``repro.wal.serialization`` — logs and disk
-images written before the extraction still decode.
+that used to live in the WAL package — logs and disk images written
+before the extraction still decode.
 
 Two things matter for speed here (this codec is ~a quarter of the
 engine's hot path, and every wire frame rides it too):

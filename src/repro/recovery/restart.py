@@ -18,7 +18,7 @@ from repro.recovery.checkpoint import take_checkpoint
 from repro.recovery.media import ScrubResult, run_scrub
 from repro.recovery.redo import RedoResult, run_redo
 from repro.recovery.undo import UndoResult, run_undo
-from repro.wal.serialization import decode_lock_table
+from repro.codec.values import decode_lock_table
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db import Database

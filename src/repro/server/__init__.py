@@ -1,8 +1,8 @@
 """Embedded multi-threaded database server.
 
 The serving surface the ROADMAP's north star asks for: many concurrent
-client sessions over a simple length-prefixed wire protocol (TCP on
-localhost, plus an in-process loopback transport for tests), a
+client sessions over a binary wire protocol (TCP on localhost, plus
+an in-process loopback transport for tests), a
 :class:`~repro.server.session.Session` owning transaction lifecycle,
 an executor pool with admission control, and graceful shutdown that
 drains in-flight transactions and takes a final checkpoint.  Pairs

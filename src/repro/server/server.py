@@ -26,9 +26,7 @@ checkpoint so restart starts from a quiesced log.
 
 from __future__ import annotations
 
-import itertools
 import queue
-import socket
 import threading
 from dataclasses import dataclass
 
@@ -40,12 +38,8 @@ from repro.common.errors import (
 )
 from repro.db import Database
 from repro.server.client import DatabaseClient
-from repro.server.protocol import (
-    FrameConn,
-    SocketTransport,
-    error_response,
-    loopback_pair,
-)
+from repro.server.listener import Listener
+from repro.server.protocol import error_response
 from repro.server.session import Session
 
 
@@ -132,14 +126,8 @@ class DatabaseServer:
         self.db = db
         self.config = config
         self._queue: queue.Queue = queue.Queue(maxsize=config.queue_depth)
-        self._sessions: set[Session] = set()
-        self._sessions_lock = threading.Lock()
-        self._session_ids = itertools.count(1)
-        self._threads: list[threading.Thread] = []
+        self.listener = Listener("db", lambda conn, sid: Session(self, conn, sid))
         self._workers: list[threading.Thread] = []
-        self._listener: socket.socket | None = None
-        self._address: tuple[str, int] | None = None
-        self._accept_thread: threading.Thread | None = None
         self._stopping = False
         self._started = False
         self._shutdown_done = False
@@ -162,66 +150,21 @@ class DatabaseServer:
             )
             worker.start()
             self._workers.append(worker)
-        if listen:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.config.host, self.config.port))
-            listener.listen(128)
-            self._listener = listener
-            self._address = listener.getsockname()
-            self._accept_thread = threading.Thread(
-                target=self._accept_loop, name="db-accept", daemon=True
-            )
-            self._accept_thread.start()
+        self.listener.open((self.config.host, self.config.port) if listen else None)
         return self
 
     @property
     def address(self) -> tuple[str, int]:
         """(host, port) the TCP listener is bound to."""
-        if self._address is None:
-            raise ServerShutdownError("server is not listening")
-        return self._address
+        return self.listener.address
 
     def connect(self, timeout: float | None = 30.0) -> DatabaseClient:
         """New client over real TCP to this server."""
-        host, port = self.address
-        return DatabaseClient.connect(host, port, timeout=timeout)
+        return self.listener.connect(timeout)
 
-    def connect_loopback(self, protocol: str | None = None) -> DatabaseClient:
+    def connect_loopback(self) -> DatabaseClient:
         """New client over an in-process socketpair (no TCP stack)."""
-        if self._stopping or not self._started:
-            raise ServerShutdownError("server is not accepting sessions")
-        server_end, client_end = loopback_pair()
-        self._spawn_session(server_end)
-        return DatabaseClient(FrameConn(client_end), protocol=protocol)
-
-    def _spawn_session(self, transport: SocketTransport) -> Session:
-        session = Session(self, FrameConn(transport), next(self._session_ids))
-        with self._sessions_lock:
-            self._sessions.add(session)
-        self._threads = [t for t in self._threads if t.is_alive()]
-        thread = threading.Thread(
-            target=session.serve,
-            name=f"db-session-{session.session_id}",
-            daemon=True,
-        )
-        self._threads.append(thread)
-        thread.start()
-        return session
-
-    def forget_session(self, session: Session) -> None:
-        with self._sessions_lock:
-            self._sessions.discard(session)
-
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stopping:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed by shutdown
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._spawn_session(SocketTransport(sock))
+        return self.listener.connect_loopback()
 
     # -- request path ------------------------------------------------------
 
@@ -322,8 +265,7 @@ class DatabaseServer:
 
     @property
     def session_count(self) -> int:
-        with self._sessions_lock:
-            return len(self._sessions)
+        return len(self.listener.sessions())
 
     # -- shutdown ----------------------------------------------------------
 
@@ -344,10 +286,7 @@ class DatabaseServer:
             return True
         self._shutdown_done = True
         self._stopping = True
-        if self._listener is not None:
-            self._listener.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
+        self.listener.close()
         drained = True
         if drain:
             deadline = time.monotonic() + self.config.drain_timeout_seconds
@@ -357,13 +296,11 @@ class DatabaseServer:
                     break
                 time.sleep(0.002)
         # Unblock every session reader; cleanup rolls back open txns.
-        with self._sessions_lock:
-            sessions = list(self._sessions)
+        sessions = self.listener.sessions()
         for session in sessions:
             session.closing = True
             session.conn.transport.close()
-        for thread in self._threads:
-            thread.join(timeout=5.0)
+        self.listener.join_sessions(timeout=5.0)
         for session in sessions:
             if not session.abandoned:
                 session.cleanup()

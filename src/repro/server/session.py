@@ -29,7 +29,7 @@ from repro.common.errors import (
     SessionStateError,
     UniqueKeyViolationError,
 )
-from repro.server.protocol import FrameConn, error_response
+from repro.server.protocol import PROTOCOL_V2, FrameConn, error_response
 from repro.txn.transaction import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -173,7 +173,7 @@ class Session:
                 # Engine may have crashed under us; restart will undo.
                 self.server.db.stats.incr("server.cleanup_rollback_errors")
         self.conn.close()
-        self.server.forget_session(self)
+        self.server.listener.forget(self)
         self.server.db.stats.incr("server.sessions_closed")
 
     # -- executor thread ---------------------------------------------------
@@ -269,7 +269,7 @@ class Session:
     def _op_hello(self, request: dict) -> dict:
         """In-band hello (the connection-open handshake hello is
         consumed by the protocol layer before it reaches dispatch)."""
-        return {"version": self.conn.version, "server": "repro"}
+        return {"version": PROTOCOL_V2, "server": "repro"}
 
     def _op_begin(self, request: dict) -> int:
         if self.txn is not None:

@@ -17,7 +17,7 @@ from typing import Any, ClassVar
 
 from repro.common.errors import StorageError
 from repro.wal.records import NULL_LSN
-from repro.wal.serialization import decode_value, encode_value
+from repro.codec.values import decode_value, encode_value
 
 _PAGE_KINDS: dict[str, type["Page"]] = {}
 

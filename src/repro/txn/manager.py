@@ -36,7 +36,7 @@ from repro.wal.records import (
     dummy_clr,
     prepare_record,
 )
-from repro.wal.serialization import encode_lock_table
+from repro.codec.values import encode_lock_table
 
 #: Phase-1 vote values (two-phase commit).
 VOTE_YES = "yes"

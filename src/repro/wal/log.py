@@ -42,7 +42,7 @@ from repro.wal.records import (
     RecordKind,
     header_from_bytes,
 )
-from repro.wal.serialization import unframe_record
+from repro.codec.values import unframe_record
 
 
 class _CommitWaiter:

@@ -25,6 +25,7 @@ from repro.common.errors import (
     LockTimeoutError,
     UniqueKeyViolationError,
 )
+from repro.common.keys import encode_key
 from tests.conftest import build_db, populate
 
 
@@ -221,6 +222,61 @@ class TestFigure3:
         check = db.begin()
         assert db.fetch(check, "t", "by_id", 1000) is not None
         db.commit(check)
+
+    def test_fetch_past_split_leaf_waits_for_inflight_smo(self):
+        """A Fetch routed by the not-yet-updated parent to the left half
+        of a paused split, for a committed key that moved into the
+        *middle* of the new right page, must wait for the SMO and then
+        find the key — not take the right page's first key as the
+        answer and report 'not found'."""
+        db = make_db(page_size=768)
+        populate(db, range(0, 120, 2))
+        tree = db.tables["t"].indexes["by_id"]
+        db.failpoints.arm_pause("smo.split.after_leaf_level")
+        splits_before = db.stats.get("btree.page_splits")
+
+        def splitter():
+            t1 = db.begin()
+            key = 1
+            while db.stats.get("btree.page_splits") == splits_before:
+                db.insert(t1, "t", {"id": key, "val": "s" * 30})
+                key += 2
+            db.commit(t1)
+
+        def fetcher():
+            t2 = db.begin()
+            fetch_result["row"] = db.fetch(t2, "t", "by_id", target)
+            db.commit(t2)
+
+        fetch_result = {}
+        split_thread = run_thread(splitter)
+        db.failpoints.wait_until_paused("smo.split.after_leaf_level")
+        try:
+            # The new right page is the leaf the chain reaches but the
+            # root does not list yet; pick a committed key past its first.
+            root = tree.fix_page(tree.root_page_id)
+            posted = set(root.child_ids)
+            page_id = root.child_ids[0]
+            db.buffer.unfix(root.page_id)
+            while page_id in posted:
+                page = tree.fix_page(page_id)
+                page_id = page.next_leaf
+                db.buffer.unfix(page.page_id)
+            right = tree.fix_page(page_id)
+            moved = {key.value for key in right.keys[1:]}
+            db.buffer.unfix(page_id)
+            target = max(k for k in range(0, 120, 2) if encode_key(k) in moved)
+            fetch_thread = run_thread(fetcher)
+            time.sleep(0.3)
+            waited = "row" not in fetch_result
+        finally:
+            db.failpoints.release("smo.split.after_leaf_level")
+        fetch_thread.join(timeout=20)
+        split_thread.join(timeout=20)
+        assert not fetch_thread.is_alive() and not split_thread.is_alive()
+        assert fetch_result["row"] is not None
+        assert fetch_result["row"]["id"] == target
+        assert waited, "fetch must wait for the SMO"
 
     def test_traverser_waits_at_ambiguous_nonleaf(self):
         """A traversal hitting the split leaf's *parent* mid-SMO (key

@@ -9,6 +9,9 @@ protocol (including its deliberate unsupported-op surface).
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.cluster import Cluster, ShardRouter, shard_for_key
@@ -206,3 +209,13 @@ class TestShardRouter:
         status = router_client.server_status()
         assert status["state"] == "steady"
         assert len(status["shards"]) == 3
+
+    def test_shutdown_stops_the_accept_thread_promptly(self, cluster):
+        router = ShardRouter(cluster).start(listen=True)
+        started = time.monotonic()
+        router.shutdown()
+        assert time.monotonic() - started < 1.0
+        assert not any(
+            t.name == "router-accept" and t.is_alive()
+            for t in threading.enumerate()
+        )

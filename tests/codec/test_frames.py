@@ -8,8 +8,6 @@ exception, never a hang — for every malformed input.
 
 from __future__ import annotations
 
-import struct
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +17,6 @@ from repro.codec.frames import (
     FLAG_RESPONSE,
     HEADER,
     HEADER_SIZE,
-    MAGIC,
     MAX_FRAME_BYTES,
     PROTOCOL_V2,
     Frame,
@@ -120,12 +117,6 @@ class TestMalformed:
         raw = HEADER.pack(MAX_FRAME_BYTES + 1, PROTOCOL_V2, 0, 0, 0)
         with pytest.raises(ProtocolError, match="exceeds"):
             try_parse_frame(raw)
-
-    def test_magic_rejected_as_v1_length(self):
-        # The negotiation preamble, read as a v1 length header, must
-        # fail the size check rather than park the reader forever.
-        (as_length,) = struct.unpack(">I", MAGIC)
-        assert as_length > MAX_FRAME_BYTES
 
     def test_garbage_version_byte(self):
         raw = HEADER.pack(0, 7, 0, 0, 0)

@@ -14,78 +14,86 @@ from repro.common.errors import (
     ServerOverloadedError,
     UniqueKeyViolationError,
 )
+from repro.codec.frames import HEADER, MAX_FRAME_BYTES, PROTOCOL_V2
 from repro.server.protocol import (
-    MAX_FRAME_BYTES,
     FrameConn,
-    encode_message,
     error_response,
     loopback_pair,
     raise_from_response,
 )
 
 
+def _handshaken_pair() -> tuple[FrameConn, FrameConn]:
+    """A (server, client) conn pair past the RPC2/hello handshake; the
+    client consumes the ack on its first read."""
+    server_end, client_end = loopback_pair()
+    server, client = FrameConn(server_end), FrameConn(client_end)
+    client.start_client()
+    assert server.accept_client()
+    return server, client
+
+
 class TestFraming:
     def test_round_trip(self):
-        server_end, client_end = loopback_pair()
-        a, b = FrameConn(server_end), FrameConn(client_end)
-        message = {"op": "insert", "row": {"id": 7, "pad": "x" * 100}}
-        a.write_message(message)
-        assert b.read_message() == message
-        b.write_message({"ok": True, "result": None})
-        assert a.read_message() == {"ok": True, "result": None}
+        a, b = _handshaken_pair()
+        message = {"op": "insert", "corr_id": 7, "row": {"id": 7, "pad": "x" * 100}}
+        b.write_message(message)
+        assert a.read_message() == message
+        a.write_message({"ok": True, "corr_id": 7, "result": None})
+        assert b.read_message() == {"ok": True, "corr_id": 7, "result": None}
         a.close()
         b.close()
 
     def test_eof_at_boundary_is_none(self):
-        server_end, client_end = loopback_pair()
-        a, b = FrameConn(server_end), FrameConn(client_end)
+        a, b = _handshaken_pair()
         a.close()
         assert b.read_message() is None
         b.close()
 
     def test_eof_mid_frame_raises(self):
-        server_end, client_end = loopback_pair()
-        b = FrameConn(client_end)
+        a, b = _handshaken_pair()
         # A header promising 100 bytes, then the line dies.
-        server_end.send_bytes(b"\x00\x00\x00\x64partial")
-        server_end.close()
+        a.transport.send_bytes(HEADER.pack(100, PROTOCOL_V2, 1, 0, 1) + b"partial")
+        a.close()
         with pytest.raises(ProtocolError, match="mid-frame"):
             b.read_message()
         b.close()
 
-    def test_non_json_body_raises(self):
-        server_end, client_end = loopback_pair()
-        b = FrameConn(client_end)
-        server_end.send_bytes(b"\x00\x00\x00\x03zzz")
-        with pytest.raises(ProtocolError, match="not valid JSON"):
+    def test_undecodable_body_raises(self):
+        a, b = _handshaken_pair()
+        a.transport.send_bytes(HEADER.pack(3, PROTOCOL_V2, 1, 0, 1) + b"zzz")
+        with pytest.raises(ProtocolError, match="failed to decode"):
             b.read_message()
-        server_end.close()
+        a.close()
         b.close()
 
     def test_oversized_header_rejected_before_reading(self):
-        server_end, client_end = loopback_pair()
-        b = FrameConn(client_end)
-        server_end.send_bytes((MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
+        a, b = _handshaken_pair()
+        a.transport.send_bytes(HEADER.pack(MAX_FRAME_BYTES + 1, PROTOCOL_V2, 1, 0, 1))
         with pytest.raises(ProtocolError, match="exceeds"):
             b.read_message()
-        server_end.close()
+        a.close()
         b.close()
 
-    def test_unserializable_message_rejected(self):
-        with pytest.raises(ProtocolError, match="JSON-serializable"):
-            encode_message({"op": object()})
+    def test_unencodable_message_rejected(self):
+        a, b = _handshaken_pair()
+        with pytest.raises(ProtocolError, match="unknown op"):
+            b.encode({"op": "no_such_op"})
+        with pytest.raises(ProtocolError, match="not codec-encodable"):
+            b.encode({"op": "insert", "row": object()})
+        a.close()
+        b.close()
 
     def test_interleaved_messages_keep_order(self):
-        server_end, client_end = loopback_pair()
-        a, b = FrameConn(server_end), FrameConn(client_end)
+        a, b = _handshaken_pair()
 
         def writer():
             for i in range(50):
-                a.write_message({"seq": i})
+                a.write_message({"ok": True, "corr_id": i, "result": i})
 
         thread = threading.Thread(target=writer)
         thread.start()
-        got = [b.read_message()["seq"] for _ in range(50)]
+        got = [b.read_message()["corr_id"] for _ in range(50)]
         thread.join(5.0)
         assert got == list(range(50))
         a.close()

@@ -1,4 +1,4 @@
-"""Protocol v2 end-to-end: negotiation, pipelining, batch execution,
+"""Protocol v2 end-to-end: handshake, pipelining, batch execution,
 structured errors, and the deferred-commit resolver.
 
 Everything here runs against a real server over loopback transports —
@@ -11,26 +11,22 @@ import threading
 
 import pytest
 
-from repro.codec.frames import PROTOCOL_V1, PROTOCOL_V2
+from repro.codec.frames import MAGIC, PROTOCOL_V2
 from repro.common.errors import (
-    KeyNotFoundError,
     LogHaltedError,
-    ProtocolError,
     ServerError,
     SessionStateError,
     UniqueKeyViolationError,
 )
-from repro.server import DatabaseServer, ServerConfig
+from repro.server import (
+    DatabaseClient,
+    DatabaseServer,
+    FrameConn,
+    ServerConfig,
+    loopback_pair,
+)
 
 from tests.conftest import build_db
-
-
-@pytest.fixture(autouse=True)
-def _default_protocol(monkeypatch):
-    """These tests assert default-protocol behavior; neutralize the CI
-    compat job's ``REPRO_WIRE_PROTOCOL`` override (tests that care set
-    it themselves)."""
-    monkeypatch.delenv("REPRO_WIRE_PROTOCOL", raising=False)
 
 
 @pytest.fixture
@@ -45,68 +41,16 @@ def server():
 
 
 class TestNegotiation:
-    def test_default_client_speaks_v2(self, server):
-        with server.connect_loopback() as client:
-            assert client.ping()
-            assert client.protocol_version == PROTOCOL_V2
-
-    def test_json_escape_hatch_speaks_v1(self, server):
-        with server.connect_loopback(protocol="json") as client:
-            assert client.ping()
-            assert client.protocol_version == PROTOCOL_V1
-
-    def test_env_var_selects_protocol(self, server, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE_PROTOCOL", "json")
-        with server.connect_loopback() as client:
-            assert client.protocol_version == PROTOCOL_V1
-            assert client.ping()
-
-    def test_invalid_protocol_name_rejected(self, server):
-        with pytest.raises(ProtocolError, match="unknown protocol"):
-            server.connect_loopback(protocol="carrier-pigeon")
+    def test_default_client_speaks_v2(self):
+        server_end, client_end = loopback_pair()
+        DatabaseClient(FrameConn(client_end))
+        assert server_end.recv_some(len(MAGIC)) == MAGIC
+        server_end.close()
+        client_end.close()
 
     def test_hello_op_reports_negotiated_version(self, server):
         with server.connect_loopback() as client:
             assert client.request("hello")["version"] == PROTOCOL_V2
-        with server.connect_loopback(protocol="json") as client:
-            assert client.request("hello")["version"] == PROTOCOL_V1
-
-
-class TestV1Compat:
-    """A v1 JSON client against a v2 server: full session lifecycle."""
-
-    def test_v1_crud_lifecycle(self, server):
-        with server.connect_loopback(protocol="json") as client:
-            with client.transaction():
-                client.insert("t", {"id": 1, "name": "one"})
-                client.insert("t", {"id": 2, "name": "two"})
-            assert client.fetch("t", "by_id", 1)["name"] == "one"
-            assert client.delete_by_key("t", "by_id", 2)["name"] == "two"
-            with pytest.raises(KeyNotFoundError):
-                client.delete_by_key("t", "by_id", 2)
-
-    def test_v1_and_v2_clients_share_a_server(self, server):
-        with server.connect_loopback(protocol="json") as v1:
-            with server.connect_loopback(protocol="binary") as v2:
-                v1.insert("t", {"id": 10, "name": "from-v1"})
-                assert v2.fetch("t", "by_id", 10)["name"] == "from-v1"
-                v2.insert("t", {"id": 11, "name": "from-v2"})
-                assert v1.fetch("t", "by_id", 11)["name"] == "from-v2"
-
-    def test_v1_pipeline_matches_by_order(self, server):
-        with server.connect_loopback(protocol="json") as client:
-            with client.pipeline() as pipe:
-                futures = [
-                    pipe.insert("t", {"id": 100 + i, "name": f"n{i}"})
-                    for i in range(8)
-                ]
-            assert all("slot" in f.result() for f in futures)
-
-    def test_v1_structured_error_still_raises_right_class(self, server):
-        with server.connect_loopback(protocol="json") as client:
-            client.insert("t", {"id": 50, "name": "x"})
-            with pytest.raises(UniqueKeyViolationError):
-                client.insert("t", {"id": 50, "name": "dup"})
 
 
 class TestPipelining:

@@ -6,11 +6,13 @@ same code path over a real localhost socket.
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 
 import pytest
 
+from repro.codec.frames import try_parse_frame
 from repro.common.errors import (
     RequestTimeoutError,
     ServerError,
@@ -334,5 +336,36 @@ class TestTcp:
         assert _wait_until(lambda: len(db.txns.active_transactions()) == 0)
         with server.connect() as probe:
             assert probe.fetch("t", "by_id", 9) is None
+        server.shutdown()
+        db.close()
+
+    def test_shutdown_stops_the_accept_thread_promptly(self):
+        db = build_db()
+        server = DatabaseServer(db, ServerConfig(workers=1)).start(listen=True)
+        started = time.monotonic()
+        server.shutdown()
+        assert time.monotonic() - started < 1.0
+        assert not any(
+            t.name == "db-accept" and t.is_alive() for t in threading.enumerate()
+        )
+        db.close()
+
+    def test_connection_without_preamble_is_rejected(self):
+        db = build_db()
+        server = DatabaseServer(db, ServerConfig(workers=1)).start(listen=True)
+        with server.connect() as client:
+            raw = socket.create_connection(server.address, timeout=5.0)
+            raw.sendall(b"\x00\x00\x00\x02{}")
+            reply = b""
+            while chunk := raw.recv(4096):
+                reply += chunk
+            raw.close()
+            frame, _ = try_parse_frame(reply)
+            assert frame.is_error
+            assert frame.payload["error"] == "ProtocolError"
+            # The bad connection took nothing else down with it.
+            assert client.ping()
+            with server.connect() as other:
+                assert other.ping()
         server.shutdown()
         db.close()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import WALError
 from repro.common.rid import RID, IndexKey
-from repro.wal.serialization import decode_value, encode_value
+from repro.codec.values import decode_value, encode_value
 
 
 class TestTruncation:

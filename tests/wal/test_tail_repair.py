@@ -5,7 +5,7 @@ import pytest
 from repro.common.errors import CorruptLogError, TruncatedLogError
 from repro.wal.log import LogManager
 from repro.wal.records import update_record
-from repro.wal.serialization import (
+from repro.codec.values import (
     RECORD_FRAME,
     frame_record,
     unframe_record,
