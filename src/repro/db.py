@@ -99,11 +99,7 @@ class Database:
         )
         self.buffer.on_fatal_io = self._on_fatal_io
         self.latches = self._make_latches()
-        self.locks = LockManager(
-            self.stats,
-            timeout=config.lock_timeout_seconds,
-            deadlock_detection=config.deadlock_detection,
-        )
+        self.locks = self._new_lock_table()
         self.rm_registry = ResourceManagerRegistry()
         self.rm_registry.register(RM_HEAP, HeapResourceManager())
         self.rm_registry.register(RM_BTREE, BTreeResourceManager())
@@ -133,6 +129,21 @@ class Database:
         self._gc_thread: threading.Thread | None = None
         if config.mvcc_enabled and config.mvcc_gc_interval_seconds > 0:
             self._start_gc_pacer()
+
+    def _new_lock_table(self) -> LockManager:
+        """An empty lock table wired to the live transaction manager's
+        deferred-commit resolver (a manager built afterwards wires its
+        own), so a waiter blocked on a pipelined batch's pending commit
+        completes it instead of waiting out the lock timeout."""
+        locks = LockManager(
+            self.stats,
+            timeout=self.config.lock_timeout_seconds,
+            deadlock_detection=self.config.deadlock_detection,
+        )
+        txns = getattr(self, "txns", None)  # absent during __init__
+        if txns is not None:
+            locks.pending_commit_resolver = txns.resolve_pending_commits
+        return locks
 
     def _make_latches(self) -> LatchManager:
         debug_max = 2 if self.config.debug_latch_checks else None
@@ -759,11 +770,7 @@ class Database:
             # Releases for latches held at the crash instant will never
             # arrive (the table above was replaced wholesale).
             monitor.reset_all_held()
-        self.locks = LockManager(
-            self.stats,
-            timeout=self.config.lock_timeout_seconds,
-            deadlock_detection=self.config.deadlock_detection,
-        )
+        self.locks = self._new_lock_table()
         # Retire the old manager *before* replacing it: a thread parked
         # inside its commit when the crash landed must not append stale
         # COMMIT/END records once restart resumes the shared log.
@@ -833,11 +840,7 @@ class Database:
         monitor = get_latch_monitor()
         if monitor is not None:
             monitor.reset_all_held()
-        self.locks = LockManager(
-            self.stats,
-            timeout=self.config.lock_timeout_seconds,
-            deadlock_detection=self.config.deadlock_detection,
-        )
+        self.locks = self._new_lock_table()
         self.txns._locks = self.locks
 
     @property

@@ -1,5 +1,7 @@
-"""Experiment harness: workloads, lock audits, interleaving counts,
-fault/crash torture rounds."""
+"""Experiment harness: workloads, lock audits, interleaving counts.
+
+The crash/fault torture runner is :mod:`repro.harness.torture` (not
+re-exported here: it also runs as ``python -m repro.harness.torture``)."""
 
 from repro.harness.lockaudit import AuditRow, audit_operation, figure2_rows
 from repro.harness.loadgen import (
@@ -7,16 +9,6 @@ from repro.harness.loadgen import (
     LoadgenReport,
     LoadgenSpec,
     run_loadgen,
-)
-from repro.harness.torture import (
-    MultiSessionReport,
-    MultiSessionSpec,
-    TortureReport,
-    TortureSpec,
-    run_multisession,
-    run_multisession_round,
-    run_torture,
-    run_torture_round,
 )
 from repro.harness.interleave import (
     Scenario,
@@ -39,13 +31,9 @@ __all__ = [
     "LatencyRecorder",
     "LoadgenReport",
     "LoadgenSpec",
-    "MultiSessionReport",
-    "MultiSessionSpec",
     "Operation",
     "RunResult",
     "Scenario",
-    "TortureReport",
-    "TortureSpec",
     "WorkloadSpec",
     "audit_operation",
     "canonical_scenarios",
@@ -57,9 +45,5 @@ __all__ = [
     "interleaving_table",
     "make_database",
     "run_loadgen",
-    "run_multisession",
-    "run_multisession_round",
     "run_operations",
-    "run_torture",
-    "run_torture_round",
 ]

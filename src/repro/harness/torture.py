@@ -1,43 +1,63 @@
 """Seeded crash-and-fault torture harness.
 
-One round = one seeded random story: a database runs a random workload
-while a seeded :class:`~repro.storage.faults.FaultInjector` tears page
-writes, throws transient/permanent I/O errors, and schedules WAL-tail
-loss; the database crashes (either on its own, when a permanent fault
-escalates, or because the schedule says so); restart recovers; and the
-round verifies the recovery invariants:
+One round replays one seeded story: build a database (a replicated
+pair, or a sharded cluster), load seed rows, arm storage faults, run a
+workload, crash, recover, and assert the recovery invariants:
 
-1. **Committed durable** — every key whose transaction's ``commit()``
-   returned before the crash is present after restart.
-2. **Uncommitted absent** — no key from an in-flight or rolled-back
-   transaction survives.
+1. **Acked durable** — every write acknowledged before the crash is
+   present after recovery.
+2. **Unacked absent** — nothing from an in-flight, rolled-back or
+   refused transaction survives, and no key appears from nowhere.
 3. **Structure valid** — every index passes ``check_structure`` and the
    heap agrees with the index.
 4. **Restart idempotent** — a second crash+restart (no new faults)
    reproduces exactly the same state.
+5. **Clean analysis** — every surviving log passes walcheck and the
+   round's latch-order graph stays acyclic.
 
-Determinism: each round derives every random decision (workload *and*
-fault schedule) from its seed, so a failing seed replays exactly.
+The modes share that skeleton (:func:`run_round`); each supplies only
+its story (``drive``) and its recover step, and :data:`MODES` holds its
+constants.  Every random decision a round makes — workload, fault
+schedule, crash kind, victim — derives from its seed, so a failing
+seed replays: each :class:`TortureInvariantError` ends with the command
+that does it, e.g.
+``python -m repro.harness.torture crash --first-seed 7 --seeds 1``.
 """
 
 from __future__ import annotations
 
 import random
+import threading
+import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from pathlib import Path
+from typing import Callable
 
+from repro.analysis.lockgraph import LatchOrderMonitor, LatchOrderViolation
+from repro.analysis.walcheck import check_log, write_log_file
+from repro.cluster.cluster import Cluster
+from repro.cluster.routing import shard_for_key
 from repro.common.config import DatabaseConfig
 from repro.common.errors import (
+    CommitNotDurableError,
+    DatabaseClosedError,
     DeadlockError,
     KeyNotFoundError,
     LockTimeoutError,
+    LogHaltedError,
     PermanentIOError,
+    ServerError,
+    ServerShutdownError,
+    ShardUnavailableError,
+    TwoPhaseAbortError,
     UniqueKeyViolationError,
 )
-from repro.analysis.lockgraph import LatchOrderMonitor
-from repro.analysis.walcheck import check_log
 from repro.db import Database
+from repro.replication import Standby
+from repro.server.server import DatabaseServer, ServerConfig
 from repro.storage.faults import FaultInjector, FaultPlan
-from repro.storage.latch import get_latch_monitor, set_latch_monitor
+from repro.storage.latch import set_latch_monitor
 
 
 def enable_lockgraph() -> LatchOrderMonitor:
@@ -59,378 +79,233 @@ def enable_lockgraph() -> LatchOrderMonitor:
     return monitor
 
 
-def _check_analysis(db: Database, seed: int, label: str) -> None:
-    """End-of-round analysis gates: the surviving log verifies clean
-    and the latch-order graph stays acyclic."""
-    wal = check_log(db.log)
-    _check(
-        wal.ok,
-        seed,
-        f"{label}: walcheck failed: "
-        + "; ".join(f.format() for f in wal.findings[:5]),
-    )
-    monitor = get_latch_monitor()
-    if monitor is not None:
-        monitor.assert_acyclic()
-
-
 @dataclass(frozen=True)
-class TortureSpec:
-    """Parameters of one torture round."""
+class Scenario:
+    """One round: a mode, a seed, and the few knobs callers turn.
 
+    Unset fields take the mode's defaults; an unset ``crash`` takes the
+    mode's crash cycle at ``seed % len(cycle)``."""
+
+    mode: str
     seed: int = 0
-    page_size: int = 1024
-    buffer_pool_pages: int = 48
-    initial_keys: int = 30
-    key_space: int = 120
-    txn_count: int = 10
-    max_ops_per_txn: int = 6
-    commit_probability: float = 0.6
-    flush_probability: float = 0.35
-    checkpoint_probability: float = 0.15
-    force_log_probability: float = 0.5
-    torn_write_probability: float = 0.08
-    transient_read_probability: float = 0.03
-    transient_write_probability: float = 0.03
-    permanent_probability: float = 0.01
-    wal_tail_loss_probability: float = 0.5
+    crash: str | None = None
+    sessions: int | None = None
+    requests_per_session: int | None = None
+    key_space: int | None = None
+    crash_after_requests: int | None = None
+    """Total acked requests after which the crash trigger pulls."""
 
-    def fault_plan(self) -> FaultPlan:
-        return FaultPlan(
-            seed=self.seed ^ 0x5EED_FA17,
-            torn_write_probability=self.torn_write_probability,
-            transient_read_probability=self.transient_read_probability,
-            transient_write_probability=self.transient_write_probability,
-            permanent_read_probability=self.permanent_probability,
-            permanent_write_probability=self.permanent_probability,
-            wal_tail_loss_probability=self.wal_tail_loss_probability,
-        )
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ValueError(f"unknown torture mode {self.mode!r}")
+        mode = MODES[self.mode]
+        resolved = {"crash": mode.crashes[self.seed % len(mode.crashes)]}
+        resolved.update(_DEFAULTS, **mode.defaults)
+        for name, value in resolved.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+        if self.crash not in mode.crashes:
+            raise ValueError(f"{self.mode}: unknown crash {self.crash!r}")
+
+
+_DEFAULTS = dict(
+    sessions=4,
+    requests_per_session=24,
+    key_space=160,
+    crash_after_requests=30,
+)
 
 
 @dataclass
-class TortureReport:
-    """Outcome of one round (all invariants already asserted)."""
+class RoundReport:
+    """Outcome of one round (every invariant already asserted)."""
 
-    seed: int
-    committed_keys: int = 0
-    txns_committed: int = 0
-    txns_rolled_back: int = 0
-    io_panic: bool = False
+    scenario: Scenario
+    counts: Counter[str] = field(default_factory=Counter)
     fault_counters: dict[str, int] = field(default_factory=dict)
-    log_tail_bytes_discarded: int = 0
-    pages_rebuilt: int = 0
 
 
 class TortureInvariantError(AssertionError):
-    """A post-restart invariant failed; the message names the seed."""
+    """A round invariant failed; the message ends with the command that
+    replays the round."""
 
 
-def _check(condition: bool, seed: int, message: str) -> None:
+def _replay_command(scenario: Scenario) -> str:
+    """The one-line command that replays ``scenario``: the CLI when the
+    scenario is its mode's default for the seed, else ``run_round``."""
+    if scenario == Scenario(scenario.mode, seed=scenario.seed):
+        return (
+            f"python -m repro.harness.torture {scenario.mode} "
+            f"--first-seed {scenario.seed} --seeds 1"
+        )
+    return (
+        'python -c "from repro.harness.torture import Scenario, run_round; '
+        f'run_round({scenario!r})"'
+    )
+
+
+def _check(scenario: Scenario, condition: bool, message: str) -> None:
     if not condition:
-        raise TortureInvariantError(f"seed {seed}: {message}")
+        raise TortureInvariantError(
+            f"{scenario.mode} seed {scenario.seed} ({scenario.crash}): "
+            f"{message}; replay: {_replay_command(scenario)}"
+        )
 
 
-def _verify_state(db: Database, committed: set[int], seed: int, label: str) -> None:
-    _check(db.verify_indexes() == {}, seed, f"{label}: index structure invalid")
+def _survivors(db: Database) -> set[int]:
     txn = db.begin()
     survivors = {row["id"] for _, row in db.scan(txn, "t", "by_id")}
     db.commit(txn)
-    missing = committed - survivors
-    extra = survivors - committed
-    _check(
-        not missing, seed, f"{label}: committed keys lost after restart: {sorted(missing)}"
-    )
-    _check(
-        not extra, seed, f"{label}: uncommitted keys survived restart: {sorted(extra)}"
-    )
+    return survivors
+
+
+def _heap_keys(db: Database) -> set[int]:
+    table = db.tables["t"]
     txn = db.begin()
-    heap_keys = {
-        db.tables["t"].fetch_row(txn, rid, lock=False)["id"]
-        for rid in db.tables["t"].heap.scan_rids()
-    }
+    keys = {table.fetch_row(txn, rid, lock=False)["id"] for rid in table.heap.scan_rids()}
     db.commit(txn)
-    _check(heap_keys == committed, seed, f"{label}: heap disagrees with index")
+    return keys
 
 
-def run_torture_round(spec: TortureSpec) -> TortureReport:
-    """Run one seeded fault/crash schedule and assert every invariant."""
-    rng = random.Random(spec.seed)
-    injector = FaultInjector(spec.fault_plan())
-    # The round is single-threaded, so any lock wait is a self-block
-    # that can only end in a timeout — keep it short.
-    config = DatabaseConfig(
-        page_size=spec.page_size,
-        buffer_pool_pages=spec.buffer_pool_pages,
-        lock_timeout_seconds=0.05,
-        latch_timeout_seconds=5.0,
-    )
-    report = TortureReport(seed=spec.seed)
-    enable_lockgraph()
-
-    # Build the schema and the seed rows before arming any fault: the
-    # round's story starts from a known-good committed state.
-    injector.disarm()
-    db = Database(config, fault_injector=injector)
-    db.create_table("t")
-    db.create_index("t", "by_id", column="id", unique=True)
-    committed: set[int] = set()
-    txn = db.begin()
-    for key in range(0, spec.initial_keys * 3, 3):
-        db.insert(txn, "t", {"id": key, "val": "seed"})
-        committed.add(key)
-    db.commit(txn)
-    injector.arm()
-
-    open_txns: list = []
-    pending: dict[int, dict[int, str]] = {}
-    crashed = False
-
-    for _ in range(spec.txn_count):
-        if crashed:
-            break
-        try:
-            action = rng.random()
-            if action < 0.55 or not open_txns:
-                txn = db.begin()
-                open_txns.append(txn)
-                pending[txn.txn_id] = {}
-                try:
-                    for _ in range(rng.randint(1, spec.max_ops_per_txn)):
-                        key = rng.randrange(spec.key_space)
-                        # Statement savepoint: a failed statement must
-                        # not leave partial effects (e.g. a heap row
-                        # whose index insert hit a unique violation).
-                        db.savepoint(txn, "stmt")
-                        try:
-                            if rng.random() < 0.6:
-                                db.insert(txn, "t", {"id": key, "val": "w"})
-                                pending[txn.txn_id][key] = "ins"
-                            else:
-                                db.delete_by_key(txn, "t", "by_id", key)
-                                pending[txn.txn_id][key] = "del"
-                        except (UniqueKeyViolationError, KeyNotFoundError):
-                            db.rollback_to_savepoint(txn, "stmt")
-                except (DeadlockError, LockTimeoutError):
-                    # A single-threaded schedule can self-block on
-                    # another open transaction's locks.
-                    open_txns.remove(txn)
-                    pending.pop(txn.txn_id)
-                    db.rollback(txn)
-                    report.txns_rolled_back += 1
-            elif action < 0.8:
-                txn = open_txns.pop(rng.randrange(len(open_txns)))
-                db.commit(txn)
-                report.txns_committed += 1
-                for key, op in pending.pop(txn.txn_id).items():
-                    if op == "ins":
-                        committed.add(key)
-                    else:
-                        committed.discard(key)
-            else:
-                txn = open_txns.pop(rng.randrange(len(open_txns)))
-                db.rollback(txn)
-                pending.pop(txn.txn_id)
-                report.txns_rolled_back += 1
-            if rng.random() < spec.flush_probability:
-                dirty = list(db.buffer.dirty_page_table())
-                for page_id in rng.sample(dirty, k=min(len(dirty), 3)):
-                    db.flush_page(page_id)
-            if rng.random() < spec.checkpoint_probability:
-                db.checkpoint()
-        except PermanentIOError:
-            # The buffer pool escalated a hard fault: the database
-            # already crashed itself cleanly.
-            crashed = True
-            report.io_panic = True
-
-    if not crashed:
-        if rng.random() < spec.force_log_probability:
-            db.log.force()  # make in-flight work durable → undo path
-        db.crash()
-
-    report.fault_counters = dict(injector.counters)
-
-    # Post-crash, the storage keeps its damage but stops producing new
-    # hard faults (transient read flakiness stays live, exercising the
-    # retry path during recovery).
-    injector.enter_recovery_mode()
-    restart_report = db.restart()
-    report.log_tail_bytes_discarded = restart_report.log_tail_bytes_discarded
-    report.pages_rebuilt = restart_report.scrub.pages_rebuilt
-    report.committed_keys = len(committed)
-    _verify_state(db, committed, spec.seed, "first restart")
-
-    # Idempotency: crash again immediately (no new faults scheduled in
-    # recovery mode) and recover to exactly the same state.
-    db.crash()
-    db.restart()
-    _verify_state(db, committed, spec.seed, "second restart")
-    _check_analysis(db, spec.seed, "torture round")
-    return report
+def _start(runners: list) -> list[threading.Thread]:
+    threads = [threading.Thread(target=runner.run) for runner in runners]
+    for thread in threads:
+        thread.start()
+    return threads
 
 
-def run_torture(
-    seeds: range, base: TortureSpec | None = None
-) -> list[TortureReport]:
-    """Run one round per seed; returns the reports (raises on the first
-    invariant violation)."""
-    base = base or TortureSpec()
-    return [run_torture_round(replace(base, seed=seed)) for seed in seeds]
+class _Worker:
+    """One client session's thread: single-key inserts/deletes on the
+    worker's own key partition (``key % sessions``), plus — in cluster
+    mode — cross-shard transactions, tracking what was acknowledged.
 
+    A cross-shard transaction writes a fresh worker-unique key pair,
+    one key per participant shard, so its fate is readable from the
+    final state: both present = committed, both absent = aborted/lost,
+    one of each = the atomicity violation the round exists to catch."""
 
-# -- multi-session client workload mode ------------------------------------
-#
-# The single-threaded rounds above drive the engine in-process.  This
-# mode drives it the way production would: a DatabaseServer with group
-# commit enabled, several concurrent client sessions issuing autocommit
-# inserts/deletes over the loopback transport, and a crash landed
-# *while commits are parked between group-commit enqueue and flush* —
-# the exact window the batched force opens up.  The invariant is the
-# durability contract of group commit:
-#
-#   * every ACKED commit (the client got a success response) survives
-#     restart;
-#   * every commit the server answered with CommitNotDurableError was
-#     never acknowledged and is in-doubt: usually the crash beat the
-#     batched flush and recovery rolled it back, but the flush (or a
-#     restart racing the commit) may have made it durable anyway;
-#   * responses that never arrived (connection died mid-request) are
-#     indeterminate, like any networked database's in-doubt window.
-#
-# Each session owns a disjoint key partition (key % sessions), so its
-# acked history determines each key's expected state exactly.
-
-
-@dataclass(frozen=True)
-class MultiSessionSpec:
-    """Parameters of one multi-session torture round."""
-
-    seed: int = 0
-    sessions: int = 4
-    requests_per_session: int = 24
-    key_space: int = 160
-    initial_keys: int = 20
-    page_size: int = 1024
-    buffer_pool_pages: int = 64
-    insert_fraction: float = 0.65
-    crash_mode: str = "held_flush"
-    """``held_flush``: pin the flusher, let commits park, crash into the
-    enqueue→flush window.  ``racing``: crash at a random moment with the
-    flusher live.  ``graceful``: no crash — drain, shut down, then
-    crash+restart to check the final checkpoint made everything durable."""
-    crash_after_requests: int = 40
-    """Total acked requests after which the trigger pulls."""
-    snapshot_readers: int = 0
-    """Concurrent snapshot-reader sessions racing the writers: each
-    repeatedly opens a snapshot transaction, reads the same key twice,
-    and asserts the two answers agree — a snapshot must be stable no
-    matter what the writers commit in between.  A reader that hits the
-    crash simply stops; the round asserts zero torn reads at the end."""
-
-
-@dataclass
-class MultiSessionReport:
-    """Outcome of one multi-session round (invariants already asserted)."""
-
-    seed: int
-    crash_mode: str
-    acked_requests: int = 0
-    lost_commits: int = 0
-    indeterminate_keys: int = 0
-    parked_at_crash: int = 0
-    flushes_saved: int = 0
-    commits: int = 0
-    """Engine-side committed transactions over the whole round."""
-    sync_forces: int = 0
-    """Synchronous log I/Os over the whole round (the coalescing
-    assertion compares this against ``commits``)."""
-    snapshot_reads: int = 0
-    """Double-reads completed by the snapshot readers (each one a
-    stability check that passed)."""
-
-
-class _SessionWorker:
-    """One client session's thread: issues ops, tracks acked state."""
-
-    def __init__(self, worker_id: int, spec: MultiSessionSpec, server) -> None:
+    def __init__(self, r: _Round, worker_id: int, connect, seed: int, requests: int):
+        self.scenario = r.scenario
+        self.mode = r.mode
         self.worker_id = worker_id
-        self.spec = spec
-        self.server = server
-        self.rng = random.Random(spec.seed * 1000003 + worker_id)
+        self.connect = connect
+        self.requests = requests
+        self.shards = len(r.cluster.shards) if r.cluster is not None else 0
+        self.rng = random.Random(seed * r.mode.worker_seed + worker_id)
         #: Last *acknowledged* state of every key this worker owns.
         self.state: dict[int, bool] = {}
         #: Keys whose state is in doubt (response never arrived).
         self.unknown: set[int] = set()
+        #: Cross-shard txns: (key_a, key_b) -> "acked"|"lost"|"unknown"|"aborted".
+        self.cross: dict[tuple[int, int], str] = {}
         self.acked = 0
         self.lost = 0
+        self._cross_seq = 0
 
     def run(self) -> None:
-        from repro.common.errors import (
-            CommitNotDurableError,
-            DatabaseClosedError,
-            LogHaltedError,
-            ServerError,
-            ServerShutdownError,
-        )
-
         try:
-            client = self.server.connect_loopback()
+            client = self.connect()
         except Exception:  # noqa: BLE001,RPR005 - server already stopping
             return
-        spec = self.spec
+        cross_fraction = self.mode.cross_fraction
         try:
-            for _ in range(spec.requests_per_session):
-                key = (
-                    self.rng.randrange(spec.key_space // spec.sessions) * spec.sessions
-                    + self.worker_id
-                )
-                inserting = self.rng.random() < spec.insert_fraction
-                try:
-                    if inserting:
-                        client.insert("t", {"id": key, "val": f"w{self.worker_id}"})
-                        self.state[key] = True
-                    else:
-                        client.delete_by_key("t", "by_id", key)
-                        self.state[key] = False
-                    self.unknown.discard(key)
-                    self.acked += 1
-                except UniqueKeyViolationError:
-                    # Server proved the key present — an ack in itself.
-                    self.state[key] = True
-                    self.unknown.discard(key)
-                    self.acked += 1
-                except KeyNotFoundError:
-                    self.state[key] = False
-                    self.unknown.discard(key)
-                    self.acked += 1
-                except LogHaltedError:  # noqa: RPR005 - outcome recorded as lost
-                    # Definite NO: the append itself was refused, so no
-                    # commit record exists to survive.
-                    self.lost += 1
-                except CommitNotDurableError:  # noqa: RPR005 - outcome recorded as in-doubt
-                    # Almost always the record died with the volatile
-                    # tail — but a crash can land *after* the batched
-                    # flush covered it (or race a commit straddling
-                    # restart), so the contract is in-doubt, not no.
-                    self.lost += 1
-                    self.unknown.add(key)
-                except (DatabaseClosedError, ServerShutdownError):
-                    return  # rejected before execution: no state change
-                except (ServerError, DeadlockError, LockTimeoutError):
-                    # In doubt: the op may or may not have committed
-                    # before the line (or the engine) went down.
-                    self.unknown.add(key)
-                    if client.closed:
-                        return
-                except Exception:  # noqa: BLE001,RPR005 - post-crash wreckage
-                    # Anything else is in doubt too; stop issuing.
-                    self.unknown.add(key)
+            for _ in range(self.requests):
+                if cross_fraction and self.rng.random() < cross_fraction:
+                    going = self._cross_op(client)
+                else:
+                    going = self._single_op(client)
+                if not going:
                     return
         finally:
             try:
                 client.close()
             except Exception:  # noqa: BLE001,RPR005 - client already torn down with the crash
                 pass
+
+    def _single_op(self, client) -> bool:
+        """One autocommit insert or delete; False stops the session."""
+        s = self.scenario
+        key = self.rng.randrange(s.key_space // s.sessions) * s.sessions + self.worker_id
+        inserting = self.rng.random() < self.mode.insert_fraction
+        try:
+            if inserting:
+                client.insert("t", {"id": key, "val": f"w{self.worker_id}"})
+            else:
+                client.delete_by_key("t", "by_id", key)
+            present = inserting
+        except UniqueKeyViolationError:
+            present = True  # the server proved the key present: an ack
+        except KeyNotFoundError:
+            present = False
+        except LogHaltedError:  # noqa: RPR005 - outcome recorded as lost
+            # Definite NO: the append itself was refused, so no commit
+            # record exists to survive.
+            self.lost += 1
+            return True
+        except CommitNotDurableError:  # noqa: RPR005 - outcome recorded per mode
+            # Almost always the record died with the volatile tail — but
+            # a crash can land *after* the batched flush covered it, so
+            # where the mode says so the outcome is in-doubt, not no.
+            self.lost += 1
+            if self.mode.not_durable_in_doubt:
+                self.unknown.add(key)
+            return True
+        except (DatabaseClosedError, ServerShutdownError, ShardUnavailableError):
+            return False  # rejected before execution: no state change
+        except (ServerError, DeadlockError, LockTimeoutError):
+            # In doubt: the op may or may not have committed before the
+            # line (or the engine) went down.
+            self.unknown.add(key)
+            return not client.closed
+        except Exception:  # noqa: BLE001,RPR005 - post-crash wreckage
+            self.unknown.add(key)
+            return False
+        self.state[key] = present
+        self.unknown.discard(key)
+        self.acked += 1
+        return True
+
+    def _cross_op(self, client) -> bool:
+        """One two-key cross-shard transaction; False stops the session."""
+        pair = self._cross_keys()
+        self.cross[pair] = "unknown"
+        try:
+            client.begin()
+            client.insert("t", {"id": pair[0], "val": f"x{self.worker_id}"})
+            client.insert("t", {"id": pair[1], "val": f"x{self.worker_id}"})
+            client.commit()
+            self.cross[pair] = "acked"
+            self.acked += 1
+        except TwoPhaseAbortError:
+            self.cross[pair] = "aborted"  # definite NO: no durable decision
+        except (CommitNotDurableError, LogHaltedError):  # noqa: RPR005 - in-doubt commit recorded as lost
+            self.cross[pair] = "lost"
+        except (DatabaseClosedError, ServerShutdownError):
+            return False
+        except Exception:  # noqa: BLE001,RPR005 - in doubt
+            # The attempt died before commit() closed the logical
+            # transaction (e.g. an insert hit the crashed shard): roll it
+            # back, or every later autocommit op would silently join the
+            # zombie transaction and be acked without commit.
+            try:
+                if client._txn_open:
+                    client.rollback()
+            except Exception:  # noqa: BLE001,RPR005 - client already torn down with the crash
+                pass
+            return not client.closed
+        return True
+
+    def _cross_keys(self) -> tuple[int, int]:
+        """A fresh pair of keys owned by two *different* shards."""
+        base = self.scenario.key_space + 100_000 * (self.worker_id + 1)
+        while True:
+            self._cross_seq += 1
+            a = base + 10 * self._cross_seq
+            shard_a = shard_for_key(a, self.shards)
+            for b in range(a + 1, a + 10):
+                if shard_for_key(b, self.shards) != shard_a:
+                    return a, b
+            # All nine neighbours hashed onto shard_a; try the next base.
 
 
 class _SnapshotReader:
@@ -443,40 +318,30 @@ class _SnapshotReader:
     round.  Reads take zero locks, so a reader can never deadlock a
     writer (or be chosen as a victim)."""
 
-    def __init__(self, reader_id: int, spec: MultiSessionSpec, server) -> None:
-        self.reader_id = reader_id
-        self.spec = spec
+    def __init__(self, reader_id: int, scenario: Scenario, server) -> None:
+        self.key_space = scenario.key_space
         self.server = server
-        self.rng = random.Random(spec.seed * 69997 + reader_id)
+        self.rng = random.Random(scenario.seed * 69997 + reader_id)
         self.stop = False
         self.reads = 0
         self.torn = 0
 
     def run(self) -> None:
-        from repro.common.errors import ServerError
-
         try:
             client = self.server.connect_loopback()
         except Exception:  # noqa: BLE001,RPR005 - server already stopping
             return
-        spec = self.spec
         try:
             while not self.stop:
-                key = self.rng.randrange(spec.key_space)
+                key = self.rng.randrange(self.key_space)
                 try:
                     with client.snapshot():
-                        first = client.fetch(
-                            "t", "by_id", key, isolation="snapshot"
-                        )
-                        second = client.fetch(
-                            "t", "by_id", key, isolation="snapshot"
-                        )
+                        first = client.fetch("t", "by_id", key, isolation="snapshot")
+                        second = client.fetch("t", "by_id", key, isolation="snapshot")
                     if first != second:
                         self.torn += 1
                     self.reads += 1
-                except ServerError:
-                    return  # engine crashed / server stopping
-                except Exception:  # noqa: BLE001,RPR005 - post-crash wreckage
+                except Exception:  # noqa: BLE001,RPR005 - engine crashed / server stopping
                     return
         finally:
             try:
@@ -485,1178 +350,780 @@ class _SnapshotReader:
                 pass
 
 
-def _join_all(threads: list, seed: int, timeout: float = 30.0) -> None:
-    import time
+class _Round:
+    """One round's live state, shared by the skeleton and the mode steps."""
 
-    deadline = time.monotonic() + timeout
-    for thread in threads:
-        thread.join(timeout=max(deadline - time.monotonic(), 0.1))
-        _check(not thread.is_alive(), seed, "session worker thread wedged")
+    def __init__(self, scenario: Scenario) -> None:
+        self.scenario = scenario
+        self.mode = MODES[scenario.mode]
+        self.report = RoundReport(scenario)
+        self.counts = self.report.counts
+        if self.mode.lockgraph:
+            self.monitor: LatchOrderMonitor | None = enable_lockgraph()
+        else:
+            # Keep the mode's databases from pinning whatever monitor
+            # the previous round left installed.
+            set_latch_monitor(None)
+            self.monitor = None
+        self.injector: FaultInjector | None = None
+        #: Databases holding the checked state (walchecked, closed at end).
+        self.dbs: list[Database] = []
+        self.cluster: Cluster | None = None
+        #: Acknowledged key states outside any worker (seed rows, etc.).
+        self.expected: dict[int, bool] = {}
+        self.workers: list[_Worker] = []
+        self.threads: list[threading.Thread] = []
+        self.stats_before: dict[str, int] = {}
+        self.standby: Standby | None = None
+        self.victim = 0
 
+    @property
+    def db(self) -> Database:
+        return self.dbs[0]
 
-def run_multisession_round(spec: MultiSessionSpec) -> MultiSessionReport:
-    """One multi-session group-commit durability round."""
-    import threading
-    import time
+    def check(self, condition: bool, message: str) -> None:
+        _check(self.scenario, condition, message)
 
-    from repro.server.server import DatabaseServer, ServerConfig
+    def config(self) -> DatabaseConfig:
+        return DatabaseConfig(**self.mode.config)
 
-    config = DatabaseConfig(
-        page_size=spec.page_size,
-        buffer_pool_pages=spec.buffer_pool_pages,
-        group_commit=True,
-        group_commit_max_wait_seconds=0.001,
-        lock_timeout_seconds=1.0,
-        latch_timeout_seconds=5.0,
-        # Paced background GC races the client sessions, so the
-        # lockgraph monitor sees GC's latch orderings under load.
-        mvcc_gc_interval_seconds=0.02,
-    )
-    enable_lockgraph()
-    db = Database(config)
-    db.create_table("t")
-    db.create_index("t", "by_id", column="id", unique=True)
-    txn = db.begin()
-    initial: list[int] = []
-    for i in range(spec.initial_keys):
-        key = (i * 7) % spec.key_space
-        if key not in initial:
-            db.insert(txn, "t", {"id": key, "val": "seed"})
-            initial.append(key)
-    db.commit(txn)
-
-    server = DatabaseServer(
-        db,
-        ServerConfig(
-            workers=spec.sessions,
-            queue_depth=spec.sessions * 4,
+    def server_config(self) -> ServerConfig:
+        sessions = self.scenario.sessions
+        return ServerConfig(
+            workers=sessions,
+            queue_depth=sessions * 4,
             request_timeout_seconds=10.0,
             drain_timeout_seconds=10.0,
-        ),
-    ).start(listen=False)
-
-    workers = [_SessionWorker(i, spec, server) for i in range(spec.sessions)]
-    for worker in workers:
-        for key in initial:
-            if key % spec.sessions == worker.worker_id:
-                worker.state[key] = True
-    threads = [threading.Thread(target=worker.run) for worker in workers]
-    for thread in threads:
-        thread.start()
-    readers = [
-        _SnapshotReader(i, spec, server) for i in range(spec.snapshot_readers)
-    ]
-    reader_threads = [threading.Thread(target=r.run) for r in readers]
-    for thread in reader_threads:
-        thread.start()
-
-    report = MultiSessionReport(seed=spec.seed, crash_mode=spec.crash_mode)
-    stats_before = db.stats.snapshot()
-
-    def total_acked() -> int:
-        return sum(w.acked for w in workers)
-
-    def stop_readers() -> None:
-        for reader in readers:
-            reader.stop = True
-        _join_all(reader_threads, spec.seed)
-
-    if spec.crash_mode == "graceful":
-        _join_all(threads, spec.seed)
-        stop_readers()
-        _check(server.shutdown(drain=True), spec.seed, "graceful drain timed out")
-        db.crash()
-    elif spec.crash_mode == "held_flush":
-        # Let the workload warm up, then pin the flusher so commits park
-        # in the enqueue→flush window, and crash into it.
-        deadline = time.monotonic() + 5.0
-        while total_acked() < spec.crash_after_requests and time.monotonic() < deadline:
-            time.sleep(0.001)
-        db.log.hold_group_commit()
-        deadline = time.monotonic() + 1.0
-        while db.log.group_commit_parked == 0 and time.monotonic() < deadline:
-            if not any(t.is_alive() for t in threads):
-                break  # workload already finished; nothing to park
-            time.sleep(0.001)
-        report.parked_at_crash = db.log.group_commit_parked
-        db.crash()
-        db.log.release_group_commit()
-        _join_all(threads, spec.seed)
-        stop_readers()
-        server.abort()
-    elif spec.crash_mode == "racing":
-        deadline = time.monotonic() + 5.0
-        while total_acked() < spec.crash_after_requests and time.monotonic() < deadline:
-            time.sleep(0.0005)
-        report.parked_at_crash = db.log.group_commit_parked
-        db.crash()
-        _join_all(threads, spec.seed)
-        stop_readers()
-        server.abort()
-    else:
-        raise ValueError(f"unknown crash_mode {spec.crash_mode!r}")
-
-    report.snapshot_reads = sum(r.reads for r in readers)
-    torn_reads = sum(r.torn for r in readers)
-    _check(
-        torn_reads == 0,
-        spec.seed,
-        f"{spec.crash_mode}: {torn_reads} torn snapshot double-reads "
-        f"(of {report.snapshot_reads})",
-    )
-
-    db.restart()
-    diff = db.stats.diff(stats_before)
-    report.acked_requests = total_acked()
-    report.lost_commits = sum(w.lost for w in workers)
-    report.indeterminate_keys = len(set().union(*(w.unknown for w in workers)))
-    report.flushes_saved = diff.get("log.group_commit_flushes_saved", 0)
-    snap = db.stats.snapshot()
-    report.commits = snap.get("txn.committed", 0)
-    report.sync_forces = snap.get("log.sync_forces", 0)
-
-    _check(
-        db.verify_indexes() == {},
-        spec.seed,
-        f"{spec.crash_mode}: index structure invalid after restart",
-    )
-    txn = db.begin()
-    survivors = {row["id"] for _, row in db.scan(txn, "t", "by_id")}
-    db.commit(txn)
-    for worker in workers:
-        for key, present in worker.state.items():
-            if key in worker.unknown:
-                continue
-            if present:
-                _check(
-                    key in survivors,
-                    spec.seed,
-                    f"{spec.crash_mode}: acked key {key} (session "
-                    f"{worker.worker_id}) lost after restart",
-                )
-            else:
-                _check(
-                    key not in survivors,
-                    spec.seed,
-                    f"{spec.crash_mode}: deleted/never-committed key {key} "
-                    f"(session {worker.worker_id}) survived restart",
-                )
-    # Keys no session owns state for must not materialize out of thin air.
-    known = set().union(*(set(w.state) | w.unknown for w in workers))
-    ghosts = survivors - known
-    _check(not ghosts, spec.seed, f"{spec.crash_mode}: ghost keys {sorted(ghosts)}")
-
-    # Idempotency: crash+restart again reproduces the same state.
-    db.crash()
-    db.restart()
-    txn = db.begin()
-    survivors_again = {row["id"] for _, row in db.scan(txn, "t", "by_id")}
-    db.commit(txn)
-    _check(
-        survivors_again == survivors,
-        spec.seed,
-        f"{spec.crash_mode}: second restart diverged",
-    )
-    if spec.crash_mode == "graceful":
-        server.abort()
-    _check_analysis(db, spec.seed, f"multisession {spec.crash_mode}")
-    db.close()
-    return report
-
-
-def run_multisession(
-    seeds: range, base: MultiSessionSpec | None = None
-) -> list[MultiSessionReport]:
-    """One multi-session round per seed, cycling crash modes so a sweep
-    covers held-flush, racing, and graceful shutdowns."""
-    base = base or MultiSessionSpec()
-    modes = ("held_flush", "racing", "graceful")
-    return [
-        run_multisession_round(
-            replace(base, seed=seed, crash_mode=modes[seed % len(modes)])
         )
-        for seed in seeds
-    ]
+
+    def build(self) -> Database:
+        """The round's database, schema and seed rows, faults disarmed:
+        the story starts from a known-good committed state."""
+        mode = self.mode
+        if mode.faults:
+            self.injector = FaultInjector(
+                FaultPlan(seed=self.scenario.seed ^ mode.fault_seed, **mode.faults)
+            )
+            self.injector.disarm()
+        db = Database(self.config(), fault_injector=self.injector)
+        self.dbs = [db]
+        db.create_table("t")
+        db.create_index("t", "by_id", column="id", unique=True)
+        txn = db.begin()
+        for i in range(mode.initial_keys):
+            key = (i * mode.key_stride) % self.scenario.key_space
+            if key not in self.expected:
+                db.insert(txn, "t", {"id": key, "val": "seed"})
+                self.expected[key] = True
+        db.commit(txn)
+        return db
+
+    def serve(self) -> DatabaseServer:
+        return DatabaseServer(self.db, self.server_config()).start(listen=False)
+
+    def spawn(self, connect, seed: int | None = None, requests: int | None = None) -> None:
+        """Start one worker thread per session.  A second spawn carries
+        the previous workers' acked history into the new ones."""
+        s = self.scenario
+        previous = self.workers
+        self.workers = [
+            _Worker(
+                self,
+                i,
+                connect,
+                s.seed if seed is None else seed,
+                requests or s.requests_per_session,
+            )
+            for i in range(s.sessions)
+        ]
+        for before, after in zip(previous, self.workers):
+            after.state, after.unknown = dict(before.state), set(before.unknown)
+            after.acked, after.lost = before.acked, before.lost
+        self.threads = _start(self.workers)
+
+    def alive(self) -> bool:
+        return any(thread.is_alive() for thread in self.threads)
+
+    def warm_up(self, poll: Callable[[], None] | None = None) -> None:
+        """Wait until the workers have ``crash_after_requests`` acks (or
+        finished), calling ``poll`` between looks."""
+        target = self.scenario.crash_after_requests
+        deadline = time.monotonic() + 10.0
+        while sum(w.acked for w in self.workers) < target and time.monotonic() < deadline:
+            if not self.alive():
+                break
+            if poll is not None:
+                poll()
+            time.sleep(0.001)
+
+    def crash(self, crash: Callable[[], None], logs: list, held: bool) -> None:
+        """Run ``crash``; ``held`` first pins the flusher of ``logs`` so
+        client commits park in the group-commit enqueue→flush window,
+        and crashes into it."""
+        engine = self.mode.engine_committers
+
+        def parked() -> int:
+            return sum(log.group_commit_parked for log in logs)
+
+        if held:
+            for log in logs:
+                log.hold_group_commit()
+            deadline = time.monotonic() + 1.0
+            while parked() <= engine and time.monotonic() < deadline:
+                if not self.alive():
+                    break  # workload already finished; nothing to park
+                time.sleep(0.001)
+        self.counts["parked_at_crash"] = max(parked() - engine, 0)
+        crash()
+        if held:
+            for log in logs:
+                log.release_group_commit()
+
+    def join(self, threads: list[threading.Thread] | None = None) -> None:
+        deadline = time.monotonic() + 30.0
+        for thread in self.threads if threads is None else threads:
+            thread.join(timeout=max(deadline - time.monotonic(), 0.1))
+            self.check(not thread.is_alive(), "session worker thread wedged")
+
+    def enter_recovery(self) -> None:
+        """Post-crash, the storage keeps its damage but stops producing
+        new hard faults (transient read flakiness stays live, exercising
+        the retry path during recovery)."""
+        if self.injector is not None:
+            self.report.fault_counters = dict(self.injector.counters)
+            self.injector.enter_recovery_mode()
+
+    def acked_state(self) -> tuple[dict[int, bool], set[int]]:
+        """Every key's last acknowledged state, and the in-doubt keys."""
+        state, unknown = dict(self.expected), set()
+        for worker in self.workers:
+            state.update(worker.state)
+            unknown |= worker.unknown
+        return state, unknown
+
+    def check_state(self, label: str) -> set[int]:
+        """Assert the surviving state matches the acked history exactly;
+        returns the surviving keys."""
+        survivors = set().union(*(_survivors(db) for db in self.dbs))
+        self.check(
+            all(db.verify_indexes() == {} for db in self.dbs),
+            f"{label}: index structure invalid",
+        )
+        state, unknown = self.acked_state()
+        settled = {key: present for key, present in state.items() if key not in unknown}
+        lost = sorted(k for k, present in settled.items() if present and k not in survivors)
+        revived = sorted(k for k, present in settled.items() if not present and k in survivors)
+        self.check(not lost, f"{label}: acked keys lost: {lost}")
+        self.check(not revived, f"{label}: keys acked absent survived: {revived}")
+        known = set(state) | unknown
+        for worker in self.workers:
+            for (a, b), outcome in worker.cross.items():
+                known |= {a, b}
+                in_a, in_b = a in survivors, b in survivors
+                self.check(
+                    in_a == in_b,
+                    f"{label}: cross-shard txn ({a},{b}) [{outcome}] applied "
+                    f"PARTIALLY: {a} {'present' if in_a else 'absent'}, "
+                    f"{b} {'present' if in_b else 'absent'}",
+                )
+                if outcome == "acked":
+                    self.check(in_a, f"{label}: ACKED cross-shard txn ({a},{b}) lost")
+                elif outcome in ("lost", "aborted"):
+                    self.check(
+                        not in_a, f"{label}: {outcome} cross-shard txn ({a},{b}) survived"
+                    )
+        ghosts = sorted(survivors - known)
+        self.check(not ghosts, f"{label}: ghost keys {ghosts}")
+        heap = set().union(*(_heap_keys(db) for db in self.dbs))
+        self.check(heap == survivors, f"{label}: heap disagrees with index")
+        return survivors
+
+    def count_outcomes(self) -> None:
+        state, unknown = self.acked_state()
+        self.counts["committed_keys"] = sum(state.values())
+        if not self.workers:
+            return
+        self.counts["acked_requests"] = sum(w.acked for w in self.workers)
+        self.counts["lost_commits"] = sum(w.lost for w in self.workers)
+        self.counts["indeterminate_keys"] = len(unknown)
+        if self.cluster is not None:
+            for outcome in ("acked", "lost", "aborted", "unknown"):
+                self.counts[f"{outcome}_cross"] = sum(
+                    list(w.cross.values()).count(outcome) for w in self.workers
+                )
+            self.counts["acked_singles"] = (
+                self.counts["acked_requests"] - self.counts["acked_cross"]
+            )
+
+    def restart_all(self) -> None:
+        """Crash and restart every piece again (no new faults)."""
+        cluster = self.cluster
+        if cluster is None:
+            for db in self.dbs:
+                db.crash()
+                db.restart()
+            return
+        for shard_id in range(len(cluster.shards)):
+            cluster.crash_shard(shard_id)
+            cluster.restart_shard(shard_id)
+        cluster.crash_coordinator()
+        cluster.restart_coordinator()
+        cluster.resolve_indoubt()
+
+    def check_analysis(self, artifacts: str | Path | None) -> None:
+        """End-of-round gates: every surviving log verifies clean and the
+        latch-order graph stays acyclic."""
+        for db in self.dbs:
+            _check_log(self, db)
+        if self.monitor is not None:
+            try:
+                self.monitor.assert_acyclic()
+            except LatchOrderViolation as exc:
+                self.check(False, f"latch-order cycle: {exc}")
+        if artifacts is not None:
+            out = Path(artifacts)
+            out.mkdir(parents=True, exist_ok=True)
+            if self.monitor is not None:
+                self.monitor.dump_json(out / "lockgraph.json")
+            write_log_file(self.db.log, out / "wal.dump")
+
+    def close(self) -> None:
+        if self.cluster is not None:
+            self.cluster.close()
+        else:
+            for db in self.dbs:
+                db.close()
 
 
-# -- failover torture mode ---------------------------------------------------
+def _check_log(r: _Round, db: Database) -> None:
+    wal = check_log(db.log)
+    r.check(wal.ok, "walcheck failed: " + "; ".join(f.format() for f in wal.findings[:5]))
+
+
+# -- crash: in-process fault story --------------------------------------------
 #
-# The multi-session rounds above verify the durability contract against
-# a *restart* of the same database.  This mode verifies it against a
-# *failover*: a hot standby replicates the primary over the loopback
-# wire protocol while the client workload runs, the primary crashes
-# mid-load (including inside the group-commit flush window), the
-# standby is promoted, and the promoted database must agree exactly
-# with the acked commit set:
+# One thread interleaves random transactions, page steals and
+# checkpoints while a seeded FaultInjector tears page writes, throws
+# transient/permanent I/O errors and schedules WAL-tail loss.  The crash
+# lands on its own (a permanent fault escalates to an I/O panic) or by
+# schedule; restart must repair whatever the faults left behind.
+
+
+def _drive_inprocess(r: _Round) -> None:
+    rng = random.Random(r.scenario.seed)
+    db = r.build()
+    r.injector.arm()
+    # The story is single-threaded (lock_timeout 0.05 s in the mode's
+    # config): any lock wait is a self-block that can only time out.
+    open_txns: list = []
+    pending: dict[int, dict[int, bool]] = {}
+    for _ in range(10):
+        try:
+            action = rng.random()
+            if action < 0.55 or not open_txns:
+                txn = db.begin()
+                open_txns.append(txn)
+                pending[txn.txn_id] = {}
+                try:
+                    for _ in range(rng.randint(1, 6)):
+                        key = rng.randrange(r.scenario.key_space)
+                        # Statement savepoint: a failed statement must
+                        # not leave partial effects (e.g. a heap row
+                        # whose index insert hit a unique violation).
+                        db.savepoint(txn, "stmt")
+                        try:
+                            if rng.random() < 0.6:
+                                db.insert(txn, "t", {"id": key, "val": "w"})
+                                pending[txn.txn_id][key] = True
+                            else:
+                                db.delete_by_key(txn, "t", "by_id", key)
+                                pending[txn.txn_id][key] = False
+                        except (UniqueKeyViolationError, KeyNotFoundError):
+                            db.rollback_to_savepoint(txn, "stmt")
+                except (DeadlockError, LockTimeoutError):
+                    open_txns.remove(txn)
+                    pending.pop(txn.txn_id)
+                    db.rollback(txn)
+                    r.counts["txns_rolled_back"] += 1
+            elif action < 0.8:
+                txn = open_txns.pop(rng.randrange(len(open_txns)))
+                db.commit(txn)
+                r.counts["txns_committed"] += 1
+                r.expected.update(pending.pop(txn.txn_id))
+            else:
+                txn = open_txns.pop(rng.randrange(len(open_txns)))
+                db.rollback(txn)
+                pending.pop(txn.txn_id)
+                r.counts["txns_rolled_back"] += 1
+            if rng.random() < 0.35:
+                dirty = list(db.buffer.dirty_page_table())
+                for page_id in rng.sample(dirty, k=min(len(dirty), 3)):
+                    db.flush_page(page_id)
+            if rng.random() < 0.15:
+                db.checkpoint()
+        except PermanentIOError:
+            # The buffer pool escalated a hard fault: the database
+            # already crashed itself cleanly.
+            r.counts["io_panic"] = 1
+            return
+    if rng.random() < 0.5:
+        db.log.force()  # make in-flight work durable → undo path
+    db.crash()
+
+
+def _recover_restart(r: _Round) -> None:
+    r.enter_recovery()
+    report = r.db.restart()
+    r.counts["log_tail_bytes_discarded"] = report.log_tail_bytes_discarded
+    r.counts["pages_rebuilt"] = report.scrub.pages_rebuilt
+    if r.workers:
+        snap = r.db.stats.snapshot()
+        r.counts["flushes_saved"] = r.db.stats.diff(r.stats_before).get(
+            "log.group_commit_flushes_saved", 0
+        )
+        r.counts["commits"] = snap.get("txn.committed", 0)
+        r.counts["sync_forces"] = snap.get("log.sync_forces", 0)
+
+
+# -- multisession: group-commit durability over the server -------------------
 #
-#   * every ACKED commit is visible on the promoted database;
-#   * every commit answered with CommitNotDurableError is in-doubt
-#     (never acknowledged; usually rolled back);
-#   * in-doubt responses (the line died mid-request) may go either way;
-#   * in ``sync`` mode the standby is promoted *without* draining the
-#     dead primary's remaining WAL — the synchronous commit gate alone
-#     must guarantee every acked commit already reached the standby.
+# Client sessions issue autocommit inserts/deletes over the loopback
+# transport against a group-committing server, and the crash lands
+# while commits are parked between group-commit enqueue and flush
+# (held_flush), at a random moment (racing), or not at all (graceful:
+# drain, shut down, then crash).  Every acked commit must survive;
+# a CommitNotDurableError is in-doubt; a lost response is in-doubt.
+# Optional snapshot readers double-read keys inside one snapshot and
+# must never see the two answers differ.
+
+
+def _drive_multisession(r: _Round) -> None:
+    s = r.scenario
+    db = r.build()
+    server = r.serve()
+    r.stats_before = db.stats.snapshot()
+    r.spawn(server.connect_loopback)
+    readers = [_SnapshotReader(i, s, server) for i in range(r.mode.snapshot_readers)]
+    reader_threads = _start(readers)
+    if s.crash != "graceful":
+        r.warm_up()
+        r.crash(db.crash, [db.log], held=s.crash == "held_flush")
+    r.join()
+    for reader in readers:
+        reader.stop = True
+    r.join(reader_threads)
+    if s.crash == "graceful":
+        r.check(server.shutdown(drain=True), "graceful drain timed out")
+        db.crash()
+    server.abort()
+    if readers:
+        r.counts["snapshot_reads"] = sum(reader.reads for reader in readers)
+        torn = sum(reader.torn for reader in readers)
+        r.check(torn == 0, f"{torn} torn snapshot double-reads")
+
+
+# -- failover: promote a hot standby -----------------------------------------
 #
-# In the async modes the standby first drains the primary's durable
-# prefix (the primary process is "dead" but its stable log is
-# readable — exactly the real-world drain from the dead node's disk),
-# after which the promoted state must equal what restarting the old
-# primary itself would have produced.
+# A standby replicates the primary over the loopback wire while the
+# client workload runs; the primary crashes (held_flush: inside the
+# flush window; racing: at a random moment; sync: synchronous
+# replication, racing crash) and the standby is promoted.  The async
+# modes first drain the dead primary's durable prefix, after which the
+# promoted state must equal what restarting the old primary produces;
+# sync promotes with NO drain — the commit gate alone must carry every
+# acked commit.
 
 
-@dataclass(frozen=True)
-class FailoverSpec:
-    """Parameters of one failover torture round."""
-
-    seed: int = 0
-    sessions: int = 4
-    requests_per_session: int = 24
-    key_space: int = 160
-    initial_keys: int = 20
-    page_size: int = 1024
-    buffer_pool_pages: int = 64
-    insert_fraction: float = 0.65
-    crash_mode: str = "held_flush"
-    """``held_flush``: pin the flusher, crash into the enqueue→flush
-    window, drain, promote.  ``racing``: crash at a random moment with
-    the flusher live, drain, promote.  ``sync``: synchronous
-    replication, crash racing, promote with NO drain — the gate is the
-    only thing standing between an acked commit and oblivion."""
-    crash_after_requests: int = 30
-
-
-@dataclass
-class FailoverReport:
-    """Outcome of one failover round (invariants already asserted)."""
-
-    seed: int
-    crash_mode: str
-    sync: bool = False
-    acked_requests: int = 0
-    lost_commits: int = 0
-    indeterminate_keys: int = 0
-    parked_at_crash: int = 0
-    records_replayed: int = 0
-    txns_rolled_back_at_promotion: int = 0
-    primary_agreement_checked: bool = False
-
-
-def run_failover_round(spec: FailoverSpec) -> FailoverReport:
-    """One primary-crash → standby-promotion round."""
-    import threading
-    import time
-
-    from repro.replication import Standby
-    from repro.server.server import DatabaseServer, ServerConfig
-
-    sync = spec.crash_mode == "sync"
-    config = DatabaseConfig(
-        page_size=spec.page_size,
-        buffer_pool_pages=spec.buffer_pool_pages,
-        group_commit=True,
-        group_commit_max_wait_seconds=0.001,
-        lock_timeout_seconds=1.0,
-        latch_timeout_seconds=5.0,
-    )
-    db = Database(config)
-    db.create_table("t")
-    db.create_index("t", "by_id", column="id", unique=True)
-    txn = db.begin()
-    initial: list[int] = []
-    for i in range(spec.initial_keys):
-        key = (i * 7) % spec.key_space
-        if key not in initial:
-            db.insert(txn, "t", {"id": key, "val": "seed"})
-            initial.append(key)
-    db.commit(txn)
+def _drive_failover(r: _Round) -> None:
+    s = r.scenario
+    sync = s.crash == "sync"
+    db = r.build()
     db.enable_replication(sync=sync, sync_timeout_seconds=2.0)
-
-    server = DatabaseServer(
-        db,
-        ServerConfig(
-            workers=spec.sessions,
-            queue_depth=spec.sessions * 4,
-            request_timeout_seconds=10.0,
-            drain_timeout_seconds=10.0,
-        ),
-    ).start(listen=False)
+    server = r.serve()
+    # The standby is a second database: keep it out of the primary's
+    # latch-order graph.
+    set_latch_monitor(None)
     # start() seeds synchronously: by the time it returns the standby is
     # registered, so (in sync mode) no acked commit can slip past the gate.
-    standby = Standby(
-        lambda: server.connect_loopback(),
-        name=f"failover-{spec.seed}",
-        poll_wait_seconds=0.02,
+    r.standby = Standby(
+        server.connect_loopback, name=f"failover-{s.seed}", poll_wait_seconds=0.02
     ).start()
-
-    workers = [_SessionWorker(i, spec, server) for i in range(spec.sessions)]
-    for worker in workers:
-        for key in initial:
-            if key % spec.sessions == worker.worker_id:
-                worker.state[key] = True
-    threads = [threading.Thread(target=worker.run) for worker in workers]
-    for thread in threads:
-        thread.start()
-
-    report = FailoverReport(seed=spec.seed, crash_mode=spec.crash_mode, sync=sync)
-
-    def total_acked() -> int:
-        return sum(w.acked for w in workers)
-
-    deadline = time.monotonic() + 10.0
-    while total_acked() < spec.crash_after_requests and time.monotonic() < deadline:
-        if not any(t.is_alive() for t in threads):
-            break
-        time.sleep(0.001)
-
-    if spec.crash_mode == "held_flush":
-        # Crash with commits parked between group-commit enqueue and
-        # flush: their records exist only in the volatile tail, and the
-        # standby must never have seen them.
-        db.log.hold_group_commit()
-        deadline = time.monotonic() + 1.0
-        while db.log.group_commit_parked == 0 and time.monotonic() < deadline:
-            if not any(t.is_alive() for t in threads):
-                break
-            time.sleep(0.001)
-        report.parked_at_crash = db.log.group_commit_parked
-        db.crash()
-        db.log.release_group_commit()
-    elif spec.crash_mode in ("racing", "sync"):
-        report.parked_at_crash = db.log.group_commit_parked
-        db.crash()
-    else:
-        raise ValueError(f"unknown crash_mode {spec.crash_mode!r}")
-
-    durable_horizon = db.log.flushed_lsn
-    _check(
-        standby.db.log.end_lsn <= durable_horizon + 1,
-        spec.seed,
-        f"{spec.crash_mode}: standby received bytes past the primary's "
-        f"durable prefix",
+    r.spawn(server.connect_loopback)
+    r.warm_up()
+    r.crash(db.crash, [db.log], held=s.crash == "held_flush")
+    horizon = db.log.flushed_lsn
+    r.check(
+        r.standby.db.log.end_lsn <= horizon + 1,
+        "standby received bytes past the primary's durable prefix",
     )
-
     if sync:
-        # No drain: the dead primary's log is unreachable from now on.
-        server.abort()
-        _join_all(threads, spec.seed)
-    else:
-        _join_all(threads, spec.seed)
-        # Drain the remaining durable WAL from the dead primary's
-        # stable storage (the engine is halted; its flushed prefix is
-        # still servable), then cut the cord.
-        _check(
-            standby.wait_for_lsn(durable_horizon, timeout=10.0),
-            spec.seed,
-            f"{spec.crash_mode}: standby failed to drain the durable "
-            f"prefix to {durable_horizon}: {standby.status()}",
-        )
-        server.abort()
+        server.abort()  # no drain: the dead primary's log is unreachable
+        r.join()
+        return
+    r.join()
+    # Drain the dead primary's stable log (the engine is halted; its
+    # flushed prefix is still servable), then cut the cord.
+    r.check(
+        r.standby.wait_for_lsn(horizon, timeout=10.0),
+        f"standby failed to drain the durable prefix to {horizon}: "
+        f"{r.standby.status()}",
+    )
+    server.abort()
 
-    promote_report = standby.promote()
-    promoted = standby.db
-    report.acked_requests = total_acked()
-    report.lost_commits = sum(w.lost for w in workers)
-    report.indeterminate_keys = len(set().union(*(w.unknown for w in workers)))
-    report.records_replayed = promoted.stats.snapshot().get(
+
+def _recover_failover(r: _Round) -> None:
+    primary = r.db
+    report = r.standby.promote()
+    promoted = r.standby.db
+    r.dbs = [promoted]
+    r.counts["records_replayed"] = promoted.stats.snapshot().get(
         "standby.records_replayed", 0
     )
-    report.txns_rolled_back_at_promotion = (
-        promote_report.undo.transactions_rolled_back
-    )
-
-    _check(
-        promoted.verify_indexes() == {},
-        spec.seed,
-        f"{spec.crash_mode}: promoted index structure invalid",
-    )
-    txn = promoted.begin()
-    survivors = {row["id"] for _, row in promoted.scan(txn, "t", "by_id")}
-    promoted.commit(txn)
-    for worker in workers:
-        for key, present in worker.state.items():
-            if key in worker.unknown:
-                continue
-            if present:
-                _check(
-                    key in survivors,
-                    spec.seed,
-                    f"{spec.crash_mode}: acked key {key} (session "
-                    f"{worker.worker_id}) missing after failover",
-                )
-            else:
-                _check(
-                    key not in survivors,
-                    spec.seed,
-                    f"{spec.crash_mode}: deleted/never-committed key {key} "
-                    f"(session {worker.worker_id}) survived failover",
-                )
-    known = set().union(*(set(w.state) | w.unknown for w in workers))
-    ghosts = survivors - known
-    _check(
-        not ghosts, spec.seed, f"{spec.crash_mode}: ghost keys {sorted(ghosts)}"
-    )
-
-    if not sync:
+    r.counts["txns_rolled_back_at_promotion"] = report.undo.transactions_rolled_back
+    if r.scenario.crash != "sync":
         # The drained standby saw the primary's whole durable prefix, so
         # promotion must land on exactly the state restarting the old
-        # primary would have produced.
-        db.restart()
-        txn = db.begin()
-        primary_survivors = {row["id"] for _, row in db.scan(txn, "t", "by_id")}
-        db.commit(txn)
-        _check(
-            primary_survivors == survivors,
-            spec.seed,
-            f"{spec.crash_mode}: promoted state diverged from the old "
-            f"primary's recovery "
-            f"(only-primary={sorted(primary_survivors - survivors)}, "
-            f"only-promoted={sorted(survivors - primary_survivors)})",
+        # primary produces.
+        primary.restart()
+        mine, theirs = _survivors(primary), _survivors(promoted)
+        r.check(
+            mine == theirs,
+            f"promoted state diverged from the old primary's recovery "
+            f"(only-primary={sorted(mine - theirs)}, "
+            f"only-promoted={sorted(theirs - mine)})",
         )
-        report.primary_agreement_checked = True
-
+        r.counts["primary_agreement_checked"] = 1
+        _check_log(r, primary)
+    primary.close()
     # The promoted database is a read-write primary.
-    sentinel = spec.key_space + 1 + spec.seed
+    sentinel = r.scenario.key_space + 1 + r.scenario.seed
     txn = promoted.begin()
     promoted.insert(txn, "t", {"id": sentinel, "val": "post-failover"})
     promoted.commit(txn)
-    txn = promoted.begin()
-    row = promoted.fetch(txn, "t", "by_id", sentinel)
-    promoted.commit(txn)
-    _check(
-        row is not None,
-        spec.seed,
-        f"{spec.crash_mode}: promoted database refused writes",
-    )
-
-    promoted.close()
-    db.close()
-    return report
+    r.expected[sentinel] = True
 
 
-def run_failover(
-    seeds: range, base: FailoverSpec | None = None
-) -> list[FailoverReport]:
-    """One failover round per seed, cycling crash modes so a sweep
-    covers the flush window, racing crashes, and the sync-commit gate."""
-    base = base or FailoverSpec()
-    modes = ("held_flush", "racing", "sync")
-    return [
-        run_failover_round(
-            replace(base, seed=seed, crash_mode=modes[seed % len(modes)])
-        )
-        for seed in seeds
-    ]
-
-
-# -- serve-while-recovering torture mode -------------------------------------
+# -- serve-while-recovering: instant restart under live traffic --------------
 #
-# The modes above all recover stop-the-world before verifying.  This
-# mode verifies *instant restart*: the primary crashes mid-load (with
-# torn page writes and WAL-tail loss armed), recovery opens the
-# database after analysis + undo only, and the round then
-#
-#   1. reads every key whose acked state is known THROUGH the
-#      still-recovering server — each read lands on an unrecovered page
-#      and must pay the on-demand recovery cost, never observe stale
-#      (pre-redo or uncommitted) state;
-#   2. starts the background redo workers and fires a second write
-#      burst at the database while the drain runs;
-#   3. waits for the drain, re-verifies the combined acked state,
-#      structure-checks the indexes, and finally crash+restarts
-#      stop-the-world to prove the instant path left exactly the state
-#      classic recovery would reach.
+# The primary crashes mid-load with torn page writes and WAL-tail loss
+# armed; recovery opens the database after analysis + undo only.  Every
+# key with known acked state is then read THROUGH the still-recovering
+# server (each read pays on-demand recovery and must never see stale
+# state), the background redo drain starts under a second write burst,
+# and the skeleton's second restart proves the instant path left
+# exactly the state classic recovery reaches.
 
 
-@dataclass(frozen=True)
-class ServeWhileRecoveringSpec:
-    """Parameters of one serve-while-recovering torture round."""
-
-    seed: int = 0
-    sessions: int = 4
-    requests_per_session: int = 24
-    key_space: int = 160
-    initial_keys: int = 24
-    page_size: int = 1024
-    buffer_pool_pages: int = 96
-    insert_fraction: float = 0.65
-    crash_after_requests: int = 30
-    flush_probability: float = 0.2
-    """Per-poll chance the round flushes a couple of dirty pages while
-    the phase-1 load runs (gives torn writes something to tear)."""
-    torn_write_probability: float = 0.05
-    wal_tail_loss_probability: float = 0.3
-    redo_workers: int = 2
-    phase2_requests_per_session: int = 12
-    """Write burst fired while the background drain runs."""
-
-
-@dataclass
-class ServeWhileRecoveringReport:
-    """Outcome of one serve-while-recovering round (invariants already
-    asserted)."""
-
-    seed: int
-    acked_requests: int = 0
-    lost_commits: int = 0
-    indeterminate_keys: int = 0
-    pages_pending_at_open: int = 0
-    stale_reads_checked: int = 0
-    recovered_ondemand: int = 0
-    recovered_background: int = 0
-    pages_rebuilt: int = 0
-    fault_counters: dict[str, int] = field(default_factory=dict)
-
-
-def run_serve_while_recovering_round(
-    spec: ServeWhileRecoveringSpec,
-) -> ServeWhileRecoveringReport:
-    """One crash → instant-restart → serve-while-recovering round."""
-    import threading
-    import time
-
-    from repro.server.server import DatabaseServer, ServerConfig
-
-    injector = FaultInjector(
-        FaultPlan(
-            seed=spec.seed ^ 0x1257A27,
-            torn_write_probability=spec.torn_write_probability,
-            wal_tail_loss_probability=spec.wal_tail_loss_probability,
-        )
-    )
-    config = DatabaseConfig(
-        page_size=spec.page_size,
-        buffer_pool_pages=spec.buffer_pool_pages,
-        group_commit=True,
-        group_commit_max_wait_seconds=0.001,
-        lock_timeout_seconds=1.0,
-        latch_timeout_seconds=5.0,
-        ondemand_recovery_timeout_seconds=10.0,
-    )
-    report = ServeWhileRecoveringReport(seed=spec.seed)
-    enable_lockgraph()
-
-    injector.disarm()
-    db = Database(config, fault_injector=injector)
-    db.create_table("t")
-    db.create_index("t", "by_id", column="id", unique=True)
-    txn = db.begin()
-    initial: list[int] = []
-    for i in range(spec.initial_keys):
-        key = (i * 7) % spec.key_space
-        if key not in initial:
-            db.insert(txn, "t", {"id": key, "val": "seed"})
-            initial.append(key)
-    db.commit(txn)
+def _drive_instant(r: _Round) -> None:
+    db = r.build()
     db.flush_all_pages()  # a real on-disk working set for the lazy scrub
-    injector.arm()
+    r.injector.arm()
+    server = r.serve()
+    r.spawn(server.connect_loopback)
+    flush_rng = random.Random(r.scenario.seed ^ 0xF1A5)
 
-    server = DatabaseServer(
-        db,
-        ServerConfig(
-            workers=spec.sessions,
-            queue_depth=spec.sessions * 4,
-            request_timeout_seconds=10.0,
-            drain_timeout_seconds=10.0,
-        ),
-    ).start(listen=False)
-
-    workers = [_SessionWorker(i, spec, server) for i in range(spec.sessions)]
-    for worker in workers:
-        for key in initial:
-            if key % spec.sessions == worker.worker_id:
-                worker.state[key] = True
-    threads = [threading.Thread(target=worker.run) for worker in workers]
-    for thread in threads:
-        thread.start()
-
-    def total_acked() -> int:
-        return sum(w.acked for w in workers)
-
-    # Phase 1: let the load run, stealing dirty pages to disk now and
-    # then (so the crash leaves a mix of current, stale, and torn
-    # on-disk pages), and crash at a racing moment.
-    flush_rng = random.Random(spec.seed ^ 0xF1A5)
-    deadline = time.monotonic() + 10.0
-    while total_acked() < spec.crash_after_requests and time.monotonic() < deadline:
-        if not any(t.is_alive() for t in threads):
-            break
-        if flush_rng.random() < spec.flush_probability:
+    def steal_pages() -> None:
+        # Leave a mix of current, stale and torn on-disk pages.
+        if flush_rng.random() < 0.2:
             dirty = list(db.buffer.dirty_page_table())
             for page_id in flush_rng.sample(dirty, k=min(len(dirty), 2)):
                 try:
                     db.flush_page(page_id)
                 except Exception:  # noqa: BLE001,RPR005 - racing with the load
                     pass
-        time.sleep(0.001)
-    db.crash()
+
+    r.warm_up(steal_pages)
+    r.crash(db.crash, [db.log], held=False)
     # Abort before joining: post-crash requests can otherwise burn a
-    # lock/latch timeout each against the dead engine, and a session
-    # with many requests left would outlive the join budget.
+    # lock/latch timeout each against the dead engine.
     server.abort()
-    _join_all(threads, spec.seed)
-    report.fault_counters = dict(injector.counters)
-    injector.enter_recovery_mode()
+    r.join()
 
-    # Phase 2: instant restart with NO background workers — the
-    # database is open but deterministically still recovering, so the
-    # verification reads below must pay (and prove) on-demand recovery.
-    db.instant_restart(redo_workers=spec.redo_workers, background=False)
+
+def _recover_instant(r: _Round) -> None:
+    db = r.db
+    r.enter_recovery()
+    # No background workers yet: the database is open but still
+    # recovering, so the reads below must pay on-demand recovery.
+    db.instant_restart(redo_workers=2, background=False)
     governor = db.recovery
-    _check(governor is not None, spec.seed, "instant restart installed no governor")
-    report.pages_pending_at_open = governor.progress()["pages_pending"]
-
-    server = DatabaseServer(
-        db,
-        ServerConfig(
-            workers=spec.sessions,
-            queue_depth=spec.sessions * 4,
-            request_timeout_seconds=10.0,
-            drain_timeout_seconds=10.0,
-        ),
-    ).start(listen=False)
-
-    # Every key with known acked state is read through the recovering
-    # server: presence must match the acked history exactly (an acked
-    # commit lost OR a pre-crash loser visible would both surface here).
+    r.check(governor is not None, "instant restart installed no governor")
+    r.counts["pages_pending_at_open"] = governor.progress()["pages_pending"]
+    server = r.serve()
+    state, unknown = r.acked_state()
     client = server.connect_loopback()
     try:
-        for worker in workers:
-            for key, present in sorted(worker.state.items()):
-                if key in worker.unknown:
-                    continue
-                row = client.fetch("t", "by_id", key)
-                report.stale_reads_checked += 1
-                if present:
-                    _check(
-                        row is not None,
-                        spec.seed,
-                        f"acked key {key} (session {worker.worker_id}) lost "
-                        f"while recovering",
-                    )
-                else:
-                    _check(
-                        row is None,
-                        spec.seed,
-                        f"stale read while recovering: key {key} (session "
-                        f"{worker.worker_id}) should be absent",
-                    )
+        for key, present in sorted(state.items()):
+            if key in unknown:
+                continue
+            row = client.fetch("t", "by_id", key)
+            r.counts["stale_reads_checked"] += 1
+            r.check(
+                (row is not None) == present,
+                f"key {key} acked {'present' if present else 'absent'} but "
+                f"read {'absent' if present else 'present'} while recovering",
+            )
     finally:
         client.close()
-
-    # Phase 3: background drain + a concurrent write burst.
+    # Background drain + a concurrent write burst.
     governor.start_background()
-    spec2 = replace(
-        spec,
-        seed=spec.seed + 7777,
-        requests_per_session=spec.phase2_requests_per_session,
-    )
-    workers2 = [_SessionWorker(i, spec2, server) for i in range(spec.sessions)]
-    for before, after in zip(workers, workers2):
-        after.state = dict(before.state)
-        after.unknown = set(before.unknown)
-    threads2 = [threading.Thread(target=worker.run) for worker in workers2]
-    for thread in threads2:
-        thread.start()
-    _join_all(threads2, spec.seed)
-    _check(
-        governor.drain(timeout=30.0),
-        spec.seed,
-        f"background redo did not drain: {governor.progress()}",
-    )
-    _check(db.recovery_state == "steady", spec.seed, "state stuck at recovering")
+    r.spawn(server.connect_loopback, seed=r.scenario.seed + 7777, requests=12)
+    r.join()
+    r.check(governor.drain(timeout=30.0), f"background redo did not drain: {governor.progress()}")
+    r.check(db.recovery_state == "steady", "state stuck at recovering")
     server.abort()
-
-    report.acked_requests = total_acked() + sum(w.acked for w in workers2)
-    report.lost_commits = sum(w.lost for w in workers) + sum(
-        w.lost for w in workers2
-    )
-    report.indeterminate_keys = len(
-        set().union(*(w.unknown for w in workers2))
-    )
     snap = db.stats.snapshot()
-    report.recovered_ondemand = snap.get("recovery.pages_recovered_ondemand", 0)
-    report.recovered_background = snap.get("recovery.pages_recovered_background", 0)
-    report.pages_rebuilt = snap.get("recovery.lazy_pages_rebuilt", 0) + snap.get(
+    r.counts["recovered_ondemand"] = snap.get("recovery.pages_recovered_ondemand", 0)
+    r.counts["recovered_background"] = snap.get("recovery.pages_recovered_background", 0)
+    r.counts["pages_rebuilt"] = snap.get("recovery.lazy_pages_rebuilt", 0) + snap.get(
         "recovery.pages_rebuilt_from_log", 0
     )
 
-    # Final state check against the combined acked history.
-    _check(db.verify_indexes() == {}, spec.seed, "index structure invalid after drain")
-    txn = db.begin()
-    survivors = {row["id"] for _, row in db.scan(txn, "t", "by_id")}
-    db.commit(txn)
-    for worker in workers2:
-        for key, present in worker.state.items():
-            if key in worker.unknown:
-                continue
-            if present:
-                _check(
-                    key in survivors,
-                    spec.seed,
-                    f"acked key {key} (session {worker.worker_id}) lost after drain",
-                )
-            else:
-                _check(
-                    key not in survivors,
-                    spec.seed,
-                    f"deleted/never-committed key {key} (session "
-                    f"{worker.worker_id}) survived the drain",
-                )
-    known = set().union(*(set(w.state) | w.unknown for w in workers2))
-    ghosts = survivors - known
-    _check(not ghosts, spec.seed, f"ghost keys {sorted(ghosts)}")
 
-    # Instant restart must leave exactly the state classic stop-the-world
-    # recovery reaches: crash again and compare.
-    db.crash()
-    db.restart()
-    txn = db.begin()
-    survivors_again = {row["id"] for _, row in db.scan(txn, "t", "by_id")}
-    db.commit(txn)
-    _check(
-        survivors_again == survivors,
-        spec.seed,
-        "stop-the-world restart diverged from the instant-restart state",
-    )
-    _check_analysis(db, spec.seed, "serve-while-recovering")
-    db.close()
-    return report
-
-
-def run_serve_while_recovering(
-    seeds: range, base: ServeWhileRecoveringSpec | None = None
-) -> list[ServeWhileRecoveringReport]:
-    """One serve-while-recovering round per seed (raises on the first
-    invariant violation)."""
-    base = base or ServeWhileRecoveringSpec()
-    return [
-        run_serve_while_recovering_round(replace(base, seed=seed))
-        for seed in seeds
-    ]
-
-
-# -- cluster (2PC) torture mode ----------------------------------------------
+# -- cluster: atomic commitment across shards --------------------------------
 #
-# The modes above verify single-node durability.  This mode verifies the
-# *atomic commitment* contract of the sharded cluster: client sessions
-# mix single-shard transactions with cross-shard two-phase commits while
-# a crash lands on a random subset of {one shard, the coordinator, both}
-# — including inside a group-commit flush window, the spot where a
-# PREPARE or a coordinator commit decision is enqueued but not yet
-# durable.  After restarting the crashed pieces and running the
-# presumed-abort resolution protocol, the invariants:
-#
-#   * every ACKED cross-shard commit is present on EVERY participant;
-#   * every cross-shard transaction that got a definite NO (abort
-#     raised, decision never durable) is present on NO participant;
-#   * every other cross-shard transaction — including those whose
-#     outcome the client never learned — is ALL-or-NOTHING: no
-#     transaction may land on a strict subset of its participants;
-#   * single-shard traffic keeps the per-key acked-state contract of
-#     the multisession mode;
-#   * no shard is left holding an in-doubt branch after resolution.
+# Sessions mix single-shard ops with cross-shard two-phase commits
+# while a crash lands on one shard, the coordinator, or both — each held
+# in its group-commit flush window, where a PREPARE or a commit decision
+# is enqueued but not yet durable.  After restarting the crashed pieces
+# and presumed-abort resolution: acked cross-shard txns are on every
+# participant, definite NOs on none, everything else all-or-nothing,
+# and no shard holds an in-doubt branch.
 
 
-@dataclass(frozen=True)
-class ClusterTortureSpec:
-    """Parameters of one cluster 2PC torture round."""
-
-    seed: int = 0
-    shards: int = 3
-    sessions: int = 4
-    requests_per_session: int = 20
-    key_space: int = 120
-    cross_shard_fraction: float = 0.45
-    """Fraction of requests that run a cross-shard transaction."""
-    crash_mode: str = "shard"
-    """``shard``: crash one shard (held in its flush window).
-    ``coordinator``: crash the coordinator (held in its flush window).
-    ``both``: crash the coordinator and one shard together."""
-    crash_after_requests: int = 16
-    """Total acked requests after which the crash trigger pulls."""
-
-
-@dataclass
-class ClusterTortureReport:
-    """Outcome of one cluster round (invariants already asserted)."""
-
-    seed: int
-    crash_mode: str
-    acked_singles: int = 0
-    acked_cross: int = 0
-    lost_cross: int = 0
-    unknown_cross: int = 0
-    aborted_cross: int = 0
-    indoubt_resolved: int = 0
-    parked_at_crash: int = 0
-
-
-class _ClusterWorker:
-    """One cluster session: single-shard ops plus cross-shard 2PC txns.
-
-    Cross-shard transactions write a fresh, worker-unique key pair (one
-    key per participant shard) so each transaction's fate is readable
-    from the final state: both keys present = committed, both absent =
-    aborted/lost, one of each = the atomicity violation this harness
-    exists to catch.
-    """
-
-    def __init__(self, worker_id: int, spec: ClusterTortureSpec, cluster) -> None:
-        self.worker_id = worker_id
-        self.spec = spec
-        self.cluster = cluster
-        self.rng = random.Random(spec.seed * 999983 + worker_id)
-        #: Acked single-shard state, per key (True=present, False=absent).
-        self.state: dict[int, bool] = {}
-        self.unknown: set[int] = set()
-        #: Cross-shard txns: (key_a, key_b) -> "acked"|"lost"|"unknown"|"aborted".
-        self.cross: dict[tuple[int, int], str] = {}
-        self.acked = 0
-        self._cross_seq = 0
-
-    def _cross_keys(self) -> tuple[int, int]:
-        """A fresh pair of keys owned by two *different* shards."""
-        from repro.cluster.routing import shard_for_key
-
-        spec = self.spec
-        base = spec.key_space + 100_000 * (self.worker_id + 1)
-        while True:
-            self._cross_seq += 1
-            a = base + 10 * self._cross_seq
-            shard_a = shard_for_key(a, spec.shards)
-            for b in range(a + 1, a + 10):
-                if shard_for_key(b, spec.shards) != shard_a:
-                    return a, b
-            # All nine neighbours hashed onto shard_a; try the next base.
-
-    def run(self) -> None:
-        from repro.common.errors import (
-            CommitNotDurableError,
-            DatabaseClosedError,
-            LogHaltedError,
-            ServerError,
-            ServerShutdownError,
-            ShardUnavailableError,
-            TwoPhaseAbortError,
-        )
-
-        spec = self.spec
-        try:
-            client = self.cluster.client()
-        except Exception:  # noqa: BLE001,RPR005 - cluster already crashing
-            return
-        try:
-            for _ in range(spec.requests_per_session):
-                if self.rng.random() < spec.cross_shard_fraction:
-                    pair = self._cross_keys()
-                    self.cross[pair] = "unknown"
-                    try:
-                        client.begin()
-                        client.insert("t", {"id": pair[0], "val": f"x{self.worker_id}"})
-                        client.insert("t", {"id": pair[1], "val": f"x{self.worker_id}"})
-                        client.commit()
-                        self.cross[pair] = "acked"
-                        self.acked += 1
-                    except TwoPhaseAbortError:
-                        # Definite NO: no durable commit decision exists.
-                        self.cross[pair] = "aborted"
-                    except (CommitNotDurableError, LogHaltedError):  # noqa: RPR005 - in-doubt commit recorded as unknown
-                        self.cross[pair] = "lost"
-                    except (DatabaseClosedError, ServerShutdownError):
-                        return
-                    except Exception:  # noqa: BLE001,RPR005 - in doubt
-                        # The attempt died before commit() closed the
-                        # logical transaction (e.g. an insert hit the
-                        # crashed shard): roll it back, or every later
-                        # "autocommit" op would silently join the zombie
-                        # transaction and be acked without commit.
-                        try:
-                            if client._txn_open:
-                                client.rollback()
-                        except Exception:  # noqa: BLE001,RPR005 - client already torn down with the crash
-                            pass
-                        if client.closed:
-                            return
-                else:
-                    key = (
-                        self.rng.randrange(spec.key_space // spec.sessions)
-                        * spec.sessions
-                        + self.worker_id
-                    )
-                    inserting = self.rng.random() < 0.7
-                    try:
-                        if inserting:
-                            client.insert("t", {"id": key, "val": f"s{self.worker_id}"})
-                            self.state[key] = True
-                        else:
-                            client.delete_by_key("t", "by_id", key)
-                            self.state[key] = False
-                        self.unknown.discard(key)
-                        self.acked += 1
-                    except UniqueKeyViolationError:
-                        self.state[key] = True
-                        self.unknown.discard(key)
-                        self.acked += 1
-                    except KeyNotFoundError:
-                        self.state[key] = False
-                        self.unknown.discard(key)
-                        self.acked += 1
-                    except (CommitNotDurableError, LogHaltedError):  # noqa: RPR005 - in-doubt commit recorded as unknown
-                        pass  # definite NO: acked state unchanged
-                    except (DatabaseClosedError, ServerShutdownError,
-                            ShardUnavailableError):
-                        return
-                    except (ServerError, DeadlockError, LockTimeoutError):
-                        self.unknown.add(key)
-                        if client.closed:
-                            return
-                    except Exception:  # noqa: BLE001,RPR005 - post-crash wreckage
-                        self.unknown.add(key)
-                        return
-        finally:
-            try:
-                client.close()
-            except Exception:  # noqa: BLE001,RPR005 - client already torn down with the crash
-                pass
-
-
-def run_cluster_round(spec: ClusterTortureSpec) -> ClusterTortureReport:
-    """One cluster 2PC torture round."""
-    import threading
-    import time
-
-    from repro.cluster.cluster import Cluster
-    from repro.server.server import ServerConfig
-
-    config = DatabaseConfig(
-        group_commit=True,
-        group_commit_max_wait_seconds=0.001,
-        lock_timeout_seconds=1.0,
-        latch_timeout_seconds=5.0,
-    )
-    cluster = Cluster(
-        num_shards=spec.shards,
-        config=config,
-        server_config=ServerConfig(
-            workers=spec.sessions,
-            queue_depth=spec.sessions * 4,
-            request_timeout_seconds=10.0,
-            drain_timeout_seconds=10.0,
-        ),
+def _drive_cluster(r: _Round) -> None:
+    s = r.scenario
+    cluster = r.cluster = Cluster(
+        num_shards=3, config=r.config(), server_config=r.server_config()
     )
     cluster.create_table("t")
     cluster.create_index("t", "by_id", column="id", unique=True)
+    r.dbs = [shard.db for shard in cluster.shards]
+    victim = r.victim = random.Random(s.seed * 60013 + 7).randrange(len(cluster.shards))
+    r.spawn(cluster.client)
+    r.warm_up()
+    logs = []
+    if s.crash in ("shard", "both"):
+        logs.append(cluster.shards[victim].db.log)
+    if s.crash in ("coordinator", "both"):
+        logs.append(cluster.coordinator.log)
 
-    rng = random.Random(spec.seed * 60013 + 7)
-    victim_shard = rng.randrange(spec.shards)
+    def crash() -> None:
+        if s.crash in ("coordinator", "both"):
+            cluster.crash_coordinator()
+        if s.crash in ("shard", "both"):
+            cluster.crash_shard(victim)
 
-    workers = [_ClusterWorker(i, spec, cluster) for i in range(spec.sessions)]
-    threads = [threading.Thread(target=worker.run) for worker in workers]
-    for thread in threads:
-        thread.start()
+    r.crash(crash, logs, held=True)
+    r.join()
 
-    report = ClusterTortureReport(seed=spec.seed, crash_mode=spec.crash_mode)
 
-    def total_acked() -> int:
-        return sum(w.acked for w in workers)
-
-    # Aim the crash: let the workload warm up, then pin the victim
-    # log's flusher so commits/prepares/decisions park in the
-    # enqueue->flush window, and crash into it.
-    victim_logs = []
-    if spec.crash_mode in ("shard", "both"):
-        victim_logs.append(cluster.shards[victim_shard].db.log)
-    if spec.crash_mode in ("coordinator", "both"):
-        victim_logs.append(cluster.coordinator.log)
-    if spec.crash_mode not in ("shard", "coordinator", "both"):
-        raise ValueError(f"unknown crash_mode {spec.crash_mode!r}")
-
-    deadline = time.monotonic() + 5.0
-    while total_acked() < spec.crash_after_requests and time.monotonic() < deadline:
-        if not any(t.is_alive() for t in threads):
-            break
-        time.sleep(0.001)
-    for log in victim_logs:
-        log.hold_group_commit()
-    deadline = time.monotonic() + 1.0
-    while (
-        all(log.group_commit_parked == 0 for log in victim_logs)
-        and time.monotonic() < deadline
-    ):
-        if not any(t.is_alive() for t in threads):
-            break  # workload already finished; nothing to park
-        time.sleep(0.001)
-    report.parked_at_crash = sum(log.group_commit_parked for log in victim_logs)
-    if spec.crash_mode in ("coordinator", "both"):
-        cluster.crash_coordinator()
-    if spec.crash_mode in ("shard", "both"):
-        cluster.crash_shard(victim_shard)
-    for log in victim_logs:
-        log.release_group_commit()
-    _join_all(threads, spec.seed)
-
-    # Recover the crashed pieces, then run in-doubt resolution.
-    if spec.crash_mode in ("shard", "both"):
-        cluster.restart_shard(victim_shard)
-    if spec.crash_mode in ("coordinator", "both"):
+def _recover_cluster(r: _Round) -> None:
+    cluster, crash = r.cluster, r.scenario.crash
+    if crash in ("shard", "both"):
+        cluster.restart_shard(r.victim)
+    if crash in ("coordinator", "both"):
         cluster.restart_coordinator()
-    report.indoubt_resolved = cluster.resolve_indoubt()
-    _check(
+    r.counts["indoubt_resolved"] = cluster.resolve_indoubt()
+    r.check(
         all(not gids for gids in cluster.indoubt_gids().values()),
-        spec.seed,
-        f"{spec.crash_mode}: in-doubt branches remain after resolution: "
-        f"{cluster.indoubt_gids()}",
+        f"in-doubt branches remain after resolution: {cluster.indoubt_gids()}",
     )
-    for shard in cluster.shards:
-        _check(
-            shard.db.verify_indexes() == {},
-            spec.seed,
-            f"{spec.crash_mode}: shard {shard.shard_id} index invalid",
-        )
-
-    # Read back the surviving state through a fresh cluster session.
-    reader = cluster.client()
-    survivors = {row["id"] for row in reader.scan("t", "by_id", limit=100_000)}
-    reader.close()
-
-    # Single-shard contract (same as the multisession mode).
-    for worker in workers:
-        for key, present in worker.state.items():
-            if key in worker.unknown:
-                continue
-            _check(
-                (key in survivors) == present,
-                spec.seed,
-                f"{spec.crash_mode}: single-shard key {key} acked "
-                f"{'present' if present else 'absent'} but "
-                f"{'absent' if present else 'present'} after recovery",
-            )
-
-    # Cross-shard contract: acked => everywhere; definite NO => nowhere;
-    # everything => all-or-nothing.
-    for worker in workers:
-        for (a, b), outcome in worker.cross.items():
-            in_a, in_b = a in survivors, b in survivors
-            _check(
-                in_a == in_b,
-                spec.seed,
-                f"{spec.crash_mode}: cross-shard txn ({a},{b}) "
-                f"[{outcome}] applied PARTIALLY: {a}={'present' if in_a else 'absent'}, "
-                f"{b}={'present' if in_b else 'absent'}",
-            )
-            if outcome == "acked":
-                _check(
-                    in_a and in_b,
-                    spec.seed,
-                    f"{spec.crash_mode}: ACKED cross-shard txn ({a},{b}) lost",
-                )
-                report.acked_cross += 1
-            elif outcome in ("lost", "aborted"):
-                _check(
-                    not in_a and not in_b,
-                    spec.seed,
-                    f"{spec.crash_mode}: {outcome} cross-shard txn "
-                    f"({a},{b}) survived",
-                )
-                report.lost_cross += outcome == "lost"
-                report.aborted_cross += outcome == "aborted"
-            else:
-                report.unknown_cross += 1
-    report.acked_singles = total_acked() - report.acked_cross
-
-    # Ghost check: every surviving key must be accounted for.
-    known: set[int] = set()
-    for worker in workers:
-        known |= set(worker.state) | worker.unknown
-        for a, b in worker.cross:
-            known |= {a, b}
-    ghosts = survivors - known
-    _check(not ghosts, spec.seed, f"{spec.crash_mode}: ghost keys {sorted(ghosts)}")
-
-    # Idempotency: crash + restart every piece again, re-resolve, and
-    # the state must not move.
-    for shard_id in range(spec.shards):
-        cluster.crash_shard(shard_id)
-        cluster.restart_shard(shard_id)
-    cluster.crash_coordinator()
-    cluster.restart_coordinator()
-    cluster.resolve_indoubt()
-    reader = cluster.client()
-    survivors_again = {row["id"] for row in reader.scan("t", "by_id", limit=100_000)}
-    reader.close()
-    _check(
-        survivors_again == survivors,
-        spec.seed,
-        f"{spec.crash_mode}: second cluster-wide restart diverged",
-    )
-    cluster.close()
-    return report
 
 
-def run_cluster(
-    seeds: range, base: ClusterTortureSpec | None = None
-) -> list[ClusterTortureReport]:
-    """One cluster round per seed, cycling the crash target over
-    {shard, coordinator, both} so a sweep covers every loss pattern."""
-    base = base or ClusterTortureSpec()
-    modes = ("shard", "coordinator", "both")
+@dataclass(frozen=True)
+class Mode:
+    """One row of :data:`MODES`: a story's steps and constants."""
+
+    drive: Callable[[_Round], None]
+    """Build, load, arm faults, start the workload, crash."""
+    recover: Callable[[_Round], None]
+    """Bring the crashed pieces back, with the mode's own checks."""
+    crashes: tuple[str, ...]
+    """Crash kinds, cycled by ``seed % len(crashes)``."""
+    config: dict
+    """``DatabaseConfig`` fields (page and pool size, timeouts, ...)."""
+    requires: tuple[str, ...] = ()
+    """Counts a sweep must drive above zero, or it proved nothing."""
+    defaults: dict = field(default_factory=dict)
+    """Scenario defaults over the shared ones."""
+    faults: dict = field(default_factory=dict)
+    """``FaultPlan`` probabilities; empty means no injector."""
+    fault_seed: int = 0
+    """XORed into the round seed to seed the fault plan."""
+    initial_keys: int = 20
+    key_stride: int = 7
+    """Seed row ``i`` is key ``i * key_stride % key_space``."""
+    worker_seed: int = 1000003
+    """Worker ``i``'s RNG seed is ``seed * worker_seed + i``."""
+    insert_fraction: float = 0.65
+    cross_fraction: float = 0.0
+    not_durable_in_doubt: bool = True
+    """Whether a single-key ``CommitNotDurableError`` is in-doubt (the
+    batched flush may have covered it) or a definite NO."""
+    snapshot_readers: int = 0
+    """Snapshot-reader sessions racing the writers (multisession story)."""
+    engine_committers: int = 0
+    """Engine threads that commit through group commit on their own (the
+    paced MVCC GC): ``parked_at_crash`` discounts them, so it is a lower
+    bound on the client commits caught in the flush window."""
+    lockgraph: bool = True
+
+
+_SERVED = dict(
+    page_size=1024,
+    buffer_pool_pages=64,
+    group_commit=True,
+    group_commit_max_wait_seconds=0.001,
+    lock_timeout_seconds=1.0,
+    latch_timeout_seconds=5.0,
+)
+_MULTISESSION = Mode(
+    _drive_multisession,
+    _recover_restart,
+    crashes=("held_flush", "racing", "graceful"),
+    # Paced background GC races the client sessions, so the lockgraph
+    # monitor sees GC's latch orderings under load.
+    config=dict(_SERVED, mvcc_gc_interval_seconds=0.02),
+    requires=("parked_at_crash",),
+    engine_committers=1,
+    defaults=dict(crash_after_requests=40),
+)
+
+MODES: dict[str, Mode] = {
+    "crash": Mode(
+        _drive_inprocess,
+        _recover_restart,
+        crashes=("faults",),
+        config=dict(
+            page_size=1024,
+            buffer_pool_pages=48,
+            lock_timeout_seconds=0.05,
+            latch_timeout_seconds=5.0,
+        ),
+        requires=("io_panic", "pages_rebuilt", "log_tail_bytes_discarded"),
+        defaults=dict(key_space=120),
+        faults=dict(
+            torn_write_probability=0.08,
+            transient_read_probability=0.03,
+            transient_write_probability=0.03,
+            permanent_read_probability=0.01,
+            permanent_write_probability=0.01,
+            wal_tail_loss_probability=0.5,
+        ),
+        fault_seed=0x5EED_FA17,
+        initial_keys=30,
+        key_stride=3,
+    ),
+    "multisession": _MULTISESSION,
+    # The multisession story with snapshot readers racing the writers.
+    "mvcc": replace(
+        _MULTISESSION,
+        requires=("snapshot_reads",),
+        snapshot_readers=2,
+    ),
+    "failover": Mode(
+        _drive_failover,
+        _recover_failover,
+        crashes=("held_flush", "racing", "sync"),
+        config=_SERVED,
+        requires=("parked_at_crash",),
+    ),
+    "serve-while-recovering": Mode(
+        _drive_instant,
+        _recover_instant,
+        crashes=("racing",),
+        config=dict(
+            _SERVED, buffer_pool_pages=96, ondemand_recovery_timeout_seconds=10.0
+        ),
+        requires=("recovered_ondemand",),
+        faults=dict(torn_write_probability=0.05, wal_tail_loss_probability=0.3),
+        fault_seed=0x1257A27,
+        initial_keys=24,
+    ),
+    "cluster": Mode(
+        _drive_cluster,
+        _recover_cluster,
+        crashes=("shard", "coordinator", "both"),
+        config=dict(
+            group_commit=True,
+            group_commit_max_wait_seconds=0.001,
+            lock_timeout_seconds=1.0,
+            latch_timeout_seconds=5.0,
+        ),
+        requires=("acked_cross", "parked_at_crash"),
+        defaults=dict(requests_per_session=20, key_space=120, crash_after_requests=16),
+        initial_keys=0,
+        worker_seed=999983,
+        insert_fraction=0.7,
+        cross_fraction=0.45,
+        not_durable_in_doubt=False,
+        # Shards share page-id latch names: one graph would merge them.
+        lockgraph=False,
+    ),
+}
+
+
+def run_round(scenario: Scenario, artifacts: str | Path | None = None) -> RoundReport:
+    """Run one round and assert every invariant (raises
+    :class:`TortureInvariantError`).  ``artifacts`` names a directory
+    that receives the round's ``lockgraph.json`` and ``wal.dump``."""
+    r = _Round(scenario)
+    r.mode.drive(r)
+    r.mode.recover(r)
+    r.count_outcomes()
+    survivors = r.check_state("after recovery")
+    r.restart_all()
+    again = r.check_state("after a second restart")
+    r.check(again == survivors, "second restart diverged")
+    r.check_analysis(artifacts)
+    r.close()
+    return r.report
+
+
+def run_sweep(
+    mode: str, seeds: range, artifacts: str | Path | None = None, **overrides
+) -> list[RoundReport]:
+    """One round per seed (raises on the first invariant violation);
+    ``overrides`` are :class:`Scenario` fields."""
     return [
-        run_cluster_round(
-            replace(base, seed=seed, crash_mode=modes[seed % len(modes)])
-        )
-        for seed in seeds
+        run_round(Scenario(mode, seed=seed, **overrides), artifacts) for seed in seeds
     ]
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI: run a seeded multi-session torture sweep.
+    """CLI: ``python -m repro.harness.torture <mode> --seeds N``.
 
-    ``python -m repro.harness.torture --seeds 3 --snapshot-readers 2``
-    adds snapshot-reader sessions racing the writers (each double-read
-    inside one snapshot must be stable; the round fails on any torn
-    read)."""
+    Prints the sweep's summed counts as JSON and fails unless every
+    count the mode requires came out non-zero."""
     import argparse
-    import dataclasses
     import json
+    import sys
 
     parser = argparse.ArgumentParser(
-        description="seeded multi-session crash torture"
+        prog="python -m repro.harness.torture", description="seeded crash/fault torture"
     )
+    parser.add_argument("mode", choices=list(MODES))
     parser.add_argument("--seeds", type=int, default=3, help="rounds to run")
     parser.add_argument("--first-seed", type=int, default=0)
-    parser.add_argument("--sessions", type=int, default=4)
-    parser.add_argument("--requests", type=int, default=24)
     parser.add_argument(
-        "--snapshot-readers",
-        type=int,
-        default=0,
-        help="snapshot-reader sessions racing the writers",
-    )
-    parser.add_argument(
-        "--lockgraph-dump",
+        "--artifacts",
         default=None,
-        metavar="PATH",
-        help="write the last round's latch-order graph (JSON) here after the sweep",
+        metavar="DIR",
+        help="write the last round's lockgraph.json and wal.dump here",
     )
     args = parser.parse_args(argv)
 
-    monitor = enable_lockgraph()
-    base = MultiSessionSpec(
-        sessions=args.sessions,
-        requests_per_session=args.requests,
-        snapshot_readers=args.snapshot_readers,
-    )
-    try:
-        reports = run_multisession(
-            range(args.first_seed, args.first_seed + args.seeds), base
-        )
-    finally:
-        if args.lockgraph_dump:
-            # Each round installs its own database-scoped monitor; the
-            # dump is the graph of the last round that ran.
-            monitor = get_latch_monitor() or monitor
-            monitor.dump_json(args.lockgraph_dump)
-    print(json.dumps([dataclasses.asdict(r) for r in reports], indent=2))
+    seeds = range(args.first_seed, args.first_seed + args.seeds)
+    reports = run_sweep(args.mode, seeds, args.artifacts)
+    totals = sum((report.counts for report in reports), Counter())
+    crashes = Counter(report.scenario.crash for report in reports)
+    summary = {"mode": args.mode, "rounds": len(reports), "crashes": crashes, "totals": totals}
+    print(json.dumps(summary, indent=2))
+    missing = [name for name in MODES[args.mode].requires if not totals[name]]
+    if missing:
+        print(f"sweep never exercised: {', '.join(missing)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -5,14 +5,20 @@ page writes, transient/permanent I/O errors, WAL-tail loss), crashes,
 restarts, and asserts the recovery invariants: committed keys durable,
 uncommitted keys absent, index structure valid and consistent with the
 heap, and a second restart idempotent.  A failing seed replays exactly:
-``run_torture_round(TortureSpec(seed=N))``.
+``python -m repro.harness.torture crash --first-seed N --seeds 1``.
 """
 
 import pytest
 
 from repro.common.config import DatabaseConfig
 from repro.db import Database
-from repro.harness.torture import TortureSpec, run_torture, run_torture_round
+from repro.harness import torture
+from repro.harness.torture import (
+    Scenario,
+    TortureInvariantError,
+    run_round,
+    run_sweep,
+)
 from repro.storage.faults import FaultInjector, FaultPlan
 from tests.conftest import populate
 
@@ -21,24 +27,43 @@ BATCH = 10
 
 @pytest.mark.parametrize("batch", range(200 // BATCH))
 def test_torture_sweep(batch):
-    reports = run_torture(range(batch * BATCH, (batch + 1) * BATCH))
+    reports = run_sweep("crash", range(batch * BATCH, (batch + 1) * BATCH))
     assert len(reports) == BATCH
 
 
 def test_rounds_are_deterministic():
-    a = run_torture_round(TortureSpec(seed=7))
-    b = run_torture_round(TortureSpec(seed=7))
-    assert (a.committed_keys, a.txns_committed, a.fault_counters) == (
-        b.committed_keys,
-        b.txns_committed,
+    a = run_round(Scenario("crash", seed=7))
+    b = run_round(Scenario("crash", seed=7))
+    assert (a.counts["committed_keys"], a.counts["txns_committed"], a.fault_counters) == (
+        b.counts["committed_keys"],
+        b.counts["txns_committed"],
         b.fault_counters,
+    )
+
+
+def test_invariant_failure_names_the_replay_command(monkeypatch):
+    """A failing round says which seed failed and how to replay it."""
+    scan = torture._survivors
+
+    def drop_one_key(db):
+        survivors = scan(db)
+        survivors.discard(min(survivors))
+        return survivors
+
+    monkeypatch.setattr(torture, "_survivors", drop_one_key)
+    with pytest.raises(TortureInvariantError) as failure:
+        run_round(Scenario("crash", seed=7))
+    message = str(failure.value)
+    assert "acked keys lost" in message
+    assert message.endswith(
+        "python -m repro.harness.torture crash --first-seed 7 --seeds 1"
     )
 
 
 def test_sweep_exercises_every_fault_kind():
     """The default probabilities must actually reach each failure path —
     a sweep that never tears a page proves nothing."""
-    reports = run_torture(range(40))
+    reports = run_sweep("crash", range(40))
     counters: dict[str, int] = {}
     for report in reports:
         for name, count in report.fault_counters.items():
@@ -49,9 +74,9 @@ def test_sweep_exercises_every_fault_kind():
         name.startswith("transient_") and count > 0
         for name, count in counters.items()
     )
-    assert any(r.io_panic for r in reports)
-    assert any(r.pages_rebuilt > 0 for r in reports)
-    assert any(r.log_tail_bytes_discarded > 0 for r in reports)
+    assert any(r.counts["io_panic"] for r in reports)
+    assert any(r.counts["pages_rebuilt"] > 0 for r in reports)
+    assert any(r.counts["log_tail_bytes_discarded"] > 0 for r in reports)
 
 
 def test_restart_over_log_truncated_mid_record():

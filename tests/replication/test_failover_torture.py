@@ -7,24 +7,21 @@ group-commit flush window), promotes the standby, and asserts: every
 acked commit visible, every CommitNotDurableError absent, in-doubt
 responses either way, no ghosts — and in the async modes, that the
 promoted state equals what restarting the old primary would have
-produced.  A failing seed replays exactly:
-``run_failover_round(FailoverSpec(seed=N, crash_mode=...))``.
+produced.  A failing seed replays exactly: ``python -m
+repro.harness.torture failover --first-seed N --seeds 1`` (the failure
+message prints the exact command for a pinned crash kind).
 """
 
 import pytest
 
-from repro.harness.torture import (
-    FailoverSpec,
-    run_failover,
-    run_failover_round,
-)
+from repro.harness.torture import Scenario, run_round, run_sweep
 
 BATCH = 6
 
 
 @pytest.mark.parametrize("batch", range(30 // BATCH))
 def test_failover_sweep(batch):
-    reports = run_failover(range(batch * BATCH, (batch + 1) * BATCH))
+    reports = run_sweep("failover", range(batch * BATCH, (batch + 1) * BATCH))
     assert len(reports) == BATCH
 
 
@@ -32,17 +29,17 @@ def test_crash_inside_flush_window_is_reachable():
     """The sweep must actually land crashes in the enqueue→flush window,
     or the headline scenario is untested."""
     reports = [
-        run_failover_round(FailoverSpec(seed=seed, crash_mode="held_flush"))
+        run_round(Scenario("failover", seed=seed, crash="held_flush"))
         for seed in range(6)
     ]
-    assert any(r.parked_at_crash > 0 for r in reports)
-    assert all(r.primary_agreement_checked for r in reports)
+    assert any(r.counts["parked_at_crash"] > 0 for r in reports)
+    assert all(r.counts["primary_agreement_checked"] for r in reports)
 
 
 def test_sync_mode_promotes_without_drain():
     """In sync mode the promoted standby never drains the dead
     primary's log — the commit gate alone carries the acked set."""
-    report = run_failover_round(FailoverSpec(seed=2, crash_mode="sync"))
-    assert report.sync
-    assert not report.primary_agreement_checked
-    assert report.lost_commits == 0 or report.acked_requests > 0
+    report = run_round(Scenario("failover", seed=2, crash="sync"))
+    assert report.scenario.crash == "sync"
+    assert not report.counts["primary_agreement_checked"]
+    assert report.counts["lost_commits"] == 0 or report.counts["acked_requests"] > 0

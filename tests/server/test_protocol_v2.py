@@ -8,6 +8,7 @@ the same code path TCP takes, minus the kernel socket.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -166,47 +167,76 @@ class TestBatchExecution:
             assert "slot" in second.result()
 
 
+def _assert_waiter_resolves_pending_commit(db, restart=None) -> None:
+    """A contender blocked on a deferred commit's key lock completes
+    that commit itself — after ``restart`` too, when one is given — well
+    inside the lock timeout."""
+    db.create_table("t")
+    db.create_index("t", "by_id", column="id", unique=True)
+    if restart is not None:
+        db.crash()
+        restart(db)
+    writer = db.begin()
+    db.insert(writer, "t", {"id": 1, "name": "first"})
+    pending = db.commit_deferred(writer)
+    assert pending is not None and not pending.finished
+
+    # A second transaction needs the key lock the deferred
+    # commit still holds; the lock manager's resolver must
+    # complete the pending commit instead of deadlocking on it.
+    outcome: list[object] = []
+
+    def contender() -> None:
+        txn = db.begin()
+        try:
+            db.insert(txn, "t", {"id": 1, "name": "second"})
+            db.commit(txn)
+            outcome.append("committed")
+        except UniqueKeyViolationError as exc:
+            db.rollback(txn)
+            outcome.append(exc)
+
+    started = time.monotonic()
+    thread = threading.Thread(target=contender)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert time.monotonic() - started < db.config.lock_timeout_seconds / 4
+    # The first commit won: the contender saw its unique key.
+    assert len(outcome) == 1
+    assert isinstance(outcome[0], UniqueKeyViolationError)
+    assert pending.finished
+
+    # finish_deferred after a waiter already finished: no-op.
+    db.finish_deferred([pending])
+    assert db.stats.snapshot().get("txn.deferred_commits", 0) == 1
+    reader = db.begin()
+    assert db.fetch(reader, "t", "by_id", 1)["name"] == "first"
+    db.commit(reader)
+
+
 class TestDeferredCommit:
     def test_blocked_waiter_resolves_pending_commit(self):
         db = build_db()
         try:
-            db.create_table("t")
-            db.create_index("t", "by_id", column="id", unique=True)
-            writer = db.begin()
-            db.insert(writer, "t", {"id": 1, "name": "first"})
-            pending = db.commit_deferred(writer)
-            assert pending is not None and not pending.finished
+            _assert_waiter_resolves_pending_commit(db)
+        finally:
+            db.close()
 
-            # A second transaction needs the key lock the deferred
-            # commit still holds; the lock manager's resolver must
-            # complete the pending commit instead of deadlocking on it.
-            outcome: list[object] = []
-
-            def contender() -> None:
-                txn = db.begin()
-                try:
-                    db.insert(txn, "t", {"id": 1, "name": "second"})
-                    db.commit(txn)
-                    outcome.append("committed")
-                except UniqueKeyViolationError as exc:
-                    db.rollback(txn)
-                    outcome.append(exc)
-
-            thread = threading.Thread(target=contender)
-            thread.start()
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-            # The first commit won: the contender saw its unique key.
-            assert len(outcome) == 1
-            assert isinstance(outcome[0], UniqueKeyViolationError)
-            assert pending.finished
-
-            # finish_deferred after a waiter already finished: no-op.
-            db.finish_deferred([pending])
-            assert db.stats.snapshot().get("txn.deferred_commits", 0) == 1
-            reader = db.begin()
-            assert db.fetch(reader, "t", "by_id", 1)["name"] == "first"
-            db.commit(reader)
+    @pytest.mark.parametrize(
+        "restart",
+        [
+            lambda db: db.restart(),
+            lambda db: db.instant_restart(redo_workers=1),
+        ],
+        ids=["restart", "instant_restart"],
+    )
+    def test_blocked_waiter_resolves_pending_commit_after_restart(self, restart):
+        """Restart rebuilds the lock table; the rebuilt one must keep
+        the deferred-commit resolver."""
+        db = build_db()
+        try:
+            _assert_waiter_resolves_pending_commit(db, restart)
         finally:
             db.close()
 
